@@ -46,8 +46,8 @@ from repro.city import (
     render_corridor,
 )
 from repro.core import PipelineConfig
-from repro.fleet import CorridorStream, FleetScheduler, OracleDetector
-from repro.stream import ParallelFleetStream, parallel_supported
+from repro.fleet import CorridorStream, FleetScheduler, FleetStream, OracleDetector
+from repro.stream import PacerConfig, parallel_supported
 
 pytestmark = [
     pytest.mark.soak,
@@ -124,11 +124,12 @@ def _standalone_signature(spec, scenario):
         rng=rngs[spec.corridor_id],
     )
     t0 = time.perf_counter()
-    with ParallelFleetStream(
+    with FleetStream(
         sched,
         feed.sources(),
         hop_batch=scenario.hop_batch,
         workers=0,
+        pacer=PacerConfig(),
         tap_window_s=scenario.tap_window_s,
     ) as session:
         result = session.run()

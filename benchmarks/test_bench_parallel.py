@@ -1,18 +1,21 @@
 """E16/E18 — process-parallel fleet runtime: speedup and detect-to-update p95.
 
-E15 pinned the *serial* streaming corridor's per-hop latency; E16 measures
-what moving each shard's kernel pass into a forked worker process buys.
-The 4-node dense corridor (oracle detector: every hop localizes) runs once
-through the serial :class:`FleetStream` baseline and then through
-:class:`ParallelFleetStream` at 1, 2 and 4 workers, all on the same scene.
-The claims asserted:
+E15 pinned the in-process streaming corridor's per-hop latency; E16
+measures what moving each shard's kernel pass into a forked worker process
+buys.  The 4-node dense corridor (oracle detector: every hop localizes)
+runs through :meth:`FleetScheduler.stream` at ``workers=0`` (the in-process
+baseline) and then at 1, 2 and 4 workers, all on the same scene and the
+same pinned schedule (the default fixed pacer: every step advances exactly
+``hop_batch=8`` hops).  Each row times session construction — for workers,
+the fork — as ``setup_ms``, apart from the steady-state ``wall_ms`` of the
+run itself; the speedup compares steady-state walls.  The claims asserted:
 
-1. fused corridor tracks are **bit-identical** across the serial baseline
-   and every worker count (the determinism contract of
+1. fused corridor tracks are **bit-identical** across the in-process
+   baseline and every worker count (the determinism contract of
    ``tests/test_stream_parallel.py``, re-checked on the bench scene);
-2. with >= 4 usable cores, the 4-worker session beats the serial baseline
-   by at least ``MIN_SPEEDUP_4W`` (the fork + shared-memory rings must pay
-   for themselves on a dense workload);
+2. with >= 4 usable cores, the 4-worker session beats the in-process
+   baseline by at least ``MIN_SPEEDUP_4W`` (the shared-memory rings and
+   pipe round-trips must pay for themselves on a dense workload);
 3. every emitted update carries a stage budget, and the end-to-end
    ``detect_to_update_ms`` p95 stays inside the nominal budget of one hop
    batch of delivery delay plus one hop of processing.
@@ -58,7 +61,6 @@ from repro.fleet import (
     synthesize_corridor,
 )
 from repro.signals import synthesize_siren
-from repro.stream import PacerConfig, ParallelFleetStream
 
 pytestmark = pytest.mark.parallel
 
@@ -114,33 +116,40 @@ def _assert_tracks_identical(ref_tracks, tracks, label):
         assert np.array_equal(live.positions(), ref.positions()), label
 
 
+def _timed_session(nodes, recording, workers):
+    """One warm session at ``workers``: ``(result, setup_ms, wall_ms)``.
+
+    The warmup session builds the lazy steering pyramids, so forked workers
+    start from a warm parent and every run compares kernels only.
+    ``setup_ms`` times session construction (the fork, for workers >= 1);
+    ``wall_ms`` the steady-state run after it.
+    """
+    sched = _scheduler(nodes)
+    sched.stream(_sources(recording), hop_batch=8).run()
+    sources = _sources(recording)
+    t0 = time.perf_counter()
+    session = sched.stream(sources, hop_batch=8, workers=workers)
+    t1 = time.perf_counter()
+    result = session.run()
+    t2 = time.perf_counter()
+    return result, (t1 - t0) * 1e3, (t2 - t1) * 1e3
+
+
 def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
     nodes, recording = corridor
 
-    # Serial baseline (E15's runtime) on the same scheduler config.  The
-    # warmup session builds the lazy steering pyramids; parallel sessions
-    # fork from an equally warm parent, so the comparison is kernels-only.
-    serial_sched = _scheduler(nodes)
-    serial_sched.stream(_sources(recording), hop_batch=8).run()
-    t0 = time.perf_counter()
-    serial = serial_sched.stream(_sources(recording), hop_batch=8).run()
-    serial_wall_ms = (time.perf_counter() - t0) * 1e3
+    # In-process baseline (E15's runtime) on the same schedule.
+    base, base_setup_ms, base_wall_ms = _timed_session(nodes, recording, 0)
 
-    rows = [("serial", serial_wall_ms, 1.0, float("nan"), float("nan"))]
+    rows = [("workers=0", base_setup_ms, base_wall_ms, 1.0, float("nan"), float("nan"))]
     speedups = {}
     for workers in (1, 2, 4):
-        sched = _scheduler(nodes)
-        sched.stream(_sources(recording), hop_batch=8).run()  # warm the fork parent
-        t0 = time.perf_counter()
-        result = ParallelFleetStream(
-            sched, _sources(recording), hop_batch=8, workers=workers
-        ).run()
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        speedup = serial_wall_ms / wall_ms
+        result, setup_ms, wall_ms = _timed_session(nodes, recording, workers)
+        speedup = base_wall_ms / wall_ms
         speedups[workers] = speedup
 
         # Claim 1: bit-identical fused tracks at every worker count.
-        _assert_tracks_identical(serial.tracks, result.tracks, f"workers={workers}")
+        _assert_tracks_identical(base.tracks, result.tracks, f"workers={workers}")
 
         # Claim 3: every update budgeted; p95 inside the nominal budget.
         assert len(result.stage_budgets) == len(result.updates)
@@ -154,13 +163,14 @@ def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
         )
 
         rows.append(
-            (f"workers={workers}", wall_ms, speedup, d2u_p95_ms, d2u_budget_ms)
+            (f"workers={workers}", setup_ms, wall_ms, speedup, d2u_p95_ms, d2u_budget_ms)
         )
         bench_json(
             f"E16_parallel_fleet_{workers}w",
             wall_ms,
             speedup,
             workers=workers,
+            setup_ms=setup_ms,
             p95_ms=result.hop_latency.p95_s * 1e3,
             deadline_ms=result.hop_latency.deadline_s * 1e3,
         )
@@ -172,13 +182,14 @@ def test_e16_parallel_fleet_speedup_and_budget(corridor, bench_json):
                 wall_ms,
                 speedup,
                 workers=workers,
+                setup_ms=setup_ms,
                 p95_ms=d2u_p95_ms,
                 deadline_ms=d2u_budget_ms,
             )
 
     print_table(
         f"E16 process-parallel corridor ({N_NODES} nodes, {DURATION_S:.0f} s, dense)",
-        ["run", "wall ms", "speedup", "d2u p95 ms", "d2u budget ms"],
+        ["run", "setup ms", "wall ms", "speedup", "d2u p95 ms", "d2u budget ms"],
         rows,
     )
 
@@ -225,11 +236,9 @@ def test_e18_min_batch_detect_to_update(corridor, bench_json):
     def run(hop_batch):
         sched = _scheduler(nodes)
         sched.stream(_sources(recording), hop_batch=hop_batch).run()  # warm
-        pacer = PacerConfig(min_batch=hop_batch, max_batch=hop_batch)
         t0 = time.perf_counter()
-        result = ParallelFleetStream(
-            sched, _sources(recording), hop_batch=hop_batch, workers=2, pacer=pacer
-        ).run()
+        # The default pacer pins the batch at hop_batch: a lock-step session.
+        result = sched.stream(_sources(recording), hop_batch=hop_batch, workers=2).run()
         return result, (time.perf_counter() - t0) * 1e3
 
     batch8, _ = run(8)

@@ -1,8 +1,9 @@
 """Repo-wide pytest configuration: the ``parallel`` and ``soak`` markers.
 
 Tests marked ``@pytest.mark.parallel`` exercise multi-worker
-process-parallel sessions (``repro.stream.parallel``) and only make sense
-where they can actually run concurrently: they are skipped when the
+process-parallel sessions (``repro.fleet.FleetStream`` with forked shard
+workers) and only make sense where they can actually run concurrently:
+they are skipped when the
 machine has fewer than 2 CPUs, when the ``fork`` start method is missing,
 or when ``multiprocessing.shared_memory`` is unusable (e.g. no /dev/shm).
 Single-worker and in-process parallel tests are unmarked — the runtime
@@ -19,12 +20,27 @@ Tests marked ``@pytest.mark.soak`` are long-running endurance benchmarks
 (the city supervisor join/leave soak, E17).  They are **skipped by
 default** — pass ``--run-soak`` to run them — so the tier-1 suite stays
 fast; CI runs them on an opt-in schedule.
+
+BLAS/OpenMP thread pools are pinned to one thread before anything imports
+numpy (unless the caller already set them), as ``perfbench/run.py`` does:
+a second BLAS thread speeds up only the GEMM-shaped side of a speedup
+comparison (E14's dense sweep), so both sides must run at the same count.
 """
 
-import multiprocessing
 import os
 
-import pytest
+for _var in (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
+
+import multiprocessing  # noqa: E402
+
+import pytest  # noqa: E402
 
 
 def pytest_addoption(parser):

@@ -52,8 +52,9 @@ Three execution engines drive one shared per-hop implementation
   equivalent to streaming; throughput is ~10x on front-end-bound clips
   (see ``benchmarks/test_bench_throughput.py`` and ``BENCH_pipeline.json``).
 - **Real-time ingest** (:class:`repro.stream.StreamPipeline`, and
-  :class:`repro.fleet.FleetStream` for a corridor): chunk sources feed
-  fixed-capacity ring buffers; each hop-clocked step advances one hop
+  :class:`repro.fleet.FleetStream` for a corridor, in-process or on
+  forked shard workers): chunk sources feed fixed-capacity ring buffers;
+  each hop-clocked step advances one hop
   batch and (fleet-wide) fuses the new frames immediately, with per-hop
   latency guarded against the hop deadline (bench E15).
 

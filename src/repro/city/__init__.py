@@ -1,7 +1,7 @@
 """repro.city — multi-corridor supervision on one shared worker pool.
 
 The city tier sits above :mod:`repro.stream`: where a
-:class:`~repro.stream.parallel.ParallelFleetStream` runs *one* corridor's
+:class:`~repro.fleet.scheduler.FleetStream` runs *one* corridor's
 fleet on its own workers, the city runs *many* corridor sessions
 concurrently on one shared :class:`~repro.stream.pool.ShardWorkerPool`,
 with sessions joining and leaving mid-run and city-wide health rollups on

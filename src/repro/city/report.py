@@ -185,7 +185,7 @@ def _corridor_health(
     frame_period = session.scheduler.config.frame_period_s
     report = fleet_report(
         result.tracks,
-        result.as_run_result(),
+        result,
         frame_period=frame_period,
         pacer_stats=result.node_pacer_stats(),
         tap_misses=result.tap_misses,

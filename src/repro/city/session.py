@@ -14,15 +14,15 @@ against — and moves sessions through the lifecycle::
   scene renders and its :class:`~repro.fleet.scheduler.FleetScheduler`
   pipelines build.  A supervisor can warm a joining session while others
   stream.
-- **live** — a :class:`~repro.stream.parallel.ParallelFleetStream` is open
+- **live** — a :class:`~repro.fleet.scheduler.FleetStream` is open
   and registered on the shared pool (or running in-process when the pool
   is saturated or absent — *graceful degradation*: the session still runs,
   flagged :attr:`CitySession.degraded`, instead of queueing behind the
   city).
 - **draining** — the session stops being scheduled; its final frontier is
   already fused (every step fuses to the frontier, so nothing is lost).
-- **left** — finalized: the session's :class:`~repro.stream.parallel.
-  ParallelStreamResult` is kept, its runners are released from the pool,
+- **left** — finalized: the session's :class:`~repro.fleet.scheduler.
+  FleetStreamResult` is kept, its runners are released from the pool,
   its shared-memory rings are unlinked, and its capacity slots return to
   the city.
 
@@ -39,8 +39,10 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core import PipelineConfig
+from repro.fleet.corridor import CorridorStream
+from repro.fleet.scheduler import FleetScheduler, FleetStream, FleetStreamResult, OracleDetector
 from repro.stream.pacer import PacerConfig, SharedCapacity
-from repro.stream.parallel import ParallelFleetStream, ParallelStreamResult
 from repro.stream.pool import ShardWorkerPool
 
 from repro.city.scenario import (
@@ -73,9 +75,9 @@ class CitySession:
     Created by :meth:`SessionManager.submit`; driven through the lifecycle
     by the manager (or the :class:`~repro.city.supervisor.CitySupervisor`).
     While live, :attr:`stream` is the session's
-    :class:`~repro.stream.parallel.ParallelFleetStream`; after
+    :class:`~repro.fleet.scheduler.FleetStream`; after
     :meth:`SessionManager.leave`, :attr:`result` holds the finalized
-    :class:`~repro.stream.parallel.ParallelStreamResult`.
+    :class:`~repro.fleet.scheduler.FleetStreamResult`.
     """
 
     def __init__(
@@ -91,8 +93,8 @@ class CitySession:
         self.recording = None
         self.scene = None
         self.scheduler = None
-        self.stream: ParallelFleetStream | None = None
-        self.result: ParallelStreamResult | None = None
+        self.stream: FleetStream | None = None
+        self.result: FleetStreamResult | None = None
 
     @property
     def corridor_id(self) -> str:
@@ -103,7 +105,7 @@ class CitySession:
         """Whether the live stream has drained all its sources."""
         return self.stream is not None and self.stream.done
 
-    def snapshot(self) -> ParallelStreamResult | None:
+    def snapshot(self) -> FleetStreamResult | None:
         """The session's result so far: final after leave, live otherwise."""
         if self.result is not None:
             return self.result
@@ -116,9 +118,6 @@ class CitySession:
     # their own state.
 
     def _warm(self) -> None:
-        from repro.core import PipelineConfig
-        from repro.fleet import FleetScheduler, OracleDetector
-
         if self.state != SUBMITTED:
             raise RuntimeError(f"cannot warm a {self.state} session")
         self.state = WARMING
@@ -151,8 +150,6 @@ class CitySession:
         capacity: SharedCapacity | None,
         pacer: PacerConfig | None,
     ) -> None:
-        from repro.fleet.corridor import CorridorStream
-
         if self.state != WARMING:
             raise RuntimeError(f"cannot open a {self.state} session")
         if self.spec.incremental:
@@ -178,14 +175,14 @@ class CitySession:
         self.degraded = pool is None or pool.saturated(
             incoming=len(self.scheduler.shards)
         )
-        self.stream = ParallelFleetStream(
+        self.stream = FleetStream(
             self.scheduler,
             feed.sources(),
             hop_batch=self.scenario.hop_batch,
             pool=None if self.degraded else pool,
             session_id=self.corridor_id,
             capacity=None if self.degraded else capacity,
-            pacer=pacer,
+            pacer=pacer or PacerConfig(),
             tap_window_s=self.scenario.tap_window_s,
         )
         self.state = LIVE
@@ -222,7 +219,8 @@ class SessionManager:
         carries this many shards run in-process (degraded) instead of
         queueing the whole city behind them.
     pacer:
-        Backpressure policy applied to every session's pacers.
+        Backpressure policy applied to every session's pacers (default:
+        the adaptive :class:`~repro.stream.pacer.PacerConfig`).
     steal:
         Enable work stealing on a manager-forked pool (default); ``False``
         pins shards to the worker that registered them.  Ignored when an

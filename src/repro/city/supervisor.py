@@ -11,9 +11,9 @@ CityScenario` into a running city.  Each supervisor step:
    :class:`~repro.stream.pool.ShardWorkerPool`, or in-process when the
    pool is saturated (graceful degradation);
 3. **steps every live session in two phases**: first every session's
-   :meth:`~repro.stream.parallel.ParallelFleetStream.step_begin` (pace,
+   :meth:`~repro.fleet.scheduler.FleetStream.step_begin` (pace,
    ingest, dispatch hop work to the pool), then every session's
-   :meth:`~repro.stream.parallel.ParallelFleetStream.step_end` (collect,
+   :meth:`~repro.fleet.scheduler.FleetStream.step_end` (collect,
    merge, fuse).  The split is what makes the pool *shared*: all sessions'
    hop batches are in flight together before any session blocks on
    replies, so N corridors on W workers overlap instead of serializing;
@@ -91,7 +91,8 @@ class CitySupervisor:
         SessionManager`: sessions joining past this pool load run
         in-process (degraded) instead of queueing the city.
     pacer:
-        Backpressure policy applied to every session's pacers; per-session
+        Backpressure policy applied to every session's pacers (default:
+        the adaptive :class:`~repro.stream.pacer.PacerConfig`); per-session
         budgets are judged against the *shared* pool capacity (see
         :class:`~repro.stream.pacer.SharedCapacity`), so a session only
         counts as overrunning when it misses its fair share of the pool.

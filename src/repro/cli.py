@@ -154,23 +154,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run the stream through the process-parallel runtime with this "
-        "many forked shard workers over shared-memory rings (0 = same "
-        "runtime in-process); adds adaptive per-shard pacing and the live "
-        "detect-to-update stage budget",
+        help="run the stream's shard kernels on this many forked workers "
+        "over shared-memory rings (0 = in-process); giving it switches the "
+        "per-shard pacers from the fixed --hop-batch to adaptive pacing",
     )
     flt.add_argument(
         "--pace",
         action="store_true",
-        help="pace the parallel stream at capture cadence on the monotonic "
-        "clock (real-time replay) instead of free-running",
+        help="pace the stream at capture cadence on the monotonic clock "
+        "(real-time replay) instead of free-running; implies adaptive pacing",
     )
     flt.add_argument(
         "--min-batch",
         type=int,
         default=1,
         help="lowest hop batch adaptive pacing may shrink to when steps "
-        "have headroom (parallel stream; lower = lower delivery latency)",
+        "have headroom (lower = lower delivery latency); a value other "
+        "than 1 implies adaptive pacing",
     )
     flt.add_argument(
         "--drop-prob",
@@ -407,7 +407,7 @@ def _cmd_fleet(args) -> int:
         synthesize_corridor,
     )
     from repro.signals import synthesize_siren
-    from repro.stream import format_stage_summary, summarize_budgets
+    from repro.stream import PacerConfig, format_stage_summary, summarize_budgets
 
     if args.n_nodes < 2:
         print("error: a corridor fleet needs at least 2 nodes", file=sys.stderr)
@@ -472,29 +472,13 @@ def _cmd_fleet(args) -> int:
             stream = CorridorStream(
                 recording, chunk_samples=config.hop_length, drop_prob=args.drop_prob, rng=rng
             )
-        parallel = args.workers is not None
+        # Every session runs per-shard pacers.  The fixed default batch
+        # (hop_batch every step) applies unless --workers, --pace or
+        # --min-batch asks for the adaptive policy.
         pacer = None
-        if args.pace or args.min_batch != 1:
-            from repro.stream.pacer import PacerConfig
-
-            if not parallel:
-                print("error: --pace/--min-batch require --workers", file=sys.stderr)
-                return 1
+        if args.workers is not None or args.pace or args.min_batch != 1:
             pacer = PacerConfig(pace=args.pace, min_batch=args.min_batch)
         use_taps = args.multilaterate and args.tap_window is not None
-        session = scheduler.stream(
-            stream.sources(),
-            hop_batch=args.hop_batch,
-            workers=args.workers,
-            pacer=pacer,
-            recordings=(
-                recording.recordings if args.multilaterate and not use_taps else None
-            ),
-            tap_window_s=args.tap_window if use_taps else None,
-        )
-        engine = "streaming"
-        if parallel:
-            engine = f"parallel streaming, {session.workers} worker process(es)"
         mode_notes = []
         if args.incremental:
             mode_notes.append("incremental render")
@@ -504,25 +488,34 @@ def _cmd_fleet(args) -> int:
             mode_notes.append(
                 ("paced, " if args.pace else "") + f"min batch {args.min_batch}"
             )
-        say(f"engine            : {engine} (hop batch {args.hop_batch}, "
-              f"chunk {config.hop_length} samples, drop prob {args.drop_prob:.2f}"
-              + (", " + ", ".join(mode_notes) if mode_notes else "") + ")")
-        n_steps = 0
-        while not session.done:
-            for update in session.step().updates:
-                if update.kind in ("confirmed", "retired"):
-                    say("  " + format_track_update(update, frame_period=config.frame_period_s))
-            n_steps += 1
-            if parallel and n_steps % 32 == 0:
-                # Live stage-budget line: where the detect-to-update
-                # latency is going, per stage, so far.
-                say(format_stage_summary(summarize_budgets(session.stage_budgets)))
-        result = session.finalize()
-        if parallel:
-            session.close()
-        run, tracks = result.as_run_result(), result.tracks
-        if parallel:
-            pacer_stats = result.node_pacer_stats()
+        with scheduler.stream(
+            stream.sources(),
+            hop_batch=args.hop_batch,
+            workers=args.workers or 0,
+            pacer=pacer,
+            recordings=(
+                recording.recordings if args.multilaterate and not use_taps else None
+            ),
+            tap_window_s=args.tap_window if use_taps else None,
+        ) as session:
+            say(f"engine            : streaming, {session.workers} worker process(es) "
+                  f"(hop batch {args.hop_batch}, chunk {config.hop_length} samples, "
+                  f"drop prob {args.drop_prob:.2f}"
+                  + (", " + ", ".join(mode_notes) if mode_notes else "") + ")")
+            n_steps = 0
+            while not session.done:
+                for update in session.step().updates:
+                    if update.kind in ("confirmed", "retired"):
+                        say("  " + format_track_update(
+                            update, frame_period=config.frame_period_s))
+                n_steps += 1
+                if n_steps % 32 == 0:
+                    # Live stage-budget line: where the detect-to-update
+                    # latency is going, per stage, so far.
+                    say(format_stage_summary(summarize_budgets(session.stage_budgets)))
+            result = session.finalize()
+        run, tracks = result, result.tracks
+        pacer_stats = result.node_pacer_stats()
         counts = summarize_updates(result.updates)
         hop = result.hop_latency
         say(f"live updates      : " + ", ".join(f"{k} {v}" for k, v in counts.items()))
@@ -530,18 +523,17 @@ def _cmd_fleet(args) -> int:
         dropped = sum(s.n_dropped_chunks for s in result.ingest.values())
         say(f"ingest            : {sum(s.n_chunks for s in result.ingest.values())} chunks, "
               f"{dropped} dropped, {late} late")
-        if use_taps and session.taps is not None:
-            tap_misses = {nid: tap.n_misses for nid, tap in session.taps.items()}
+        if use_taps:
+            tap_misses = result.tap_misses
             say(f"tap misses        : {sum(tap_misses.values())} evicted read(s) "
                   f"across {sum(1 for v in tap_misses.values() if v)} node(s)")
         say(f"per-hop latency   : p95 {hop.p95_s * 1e3:.2f} ms vs "
               f"{hop.deadline_s * 1e3:.1f} ms hop deadline "
               f"({'real-time' if result.realtime else 'OVERRUN'})")
-        if parallel:
-            say(format_stage_summary(result.stage_summary()))
-            d2u = result.detect_to_update
-            say(f"detect→update     : p95 {d2u.p95_s * 1e3:.1f} ms vs "
-                  f"{d2u.deadline_s * 1e3:.1f} ms nominal budget")
+        say(format_stage_summary(result.stage_summary()))
+        d2u = result.detect_to_update
+        say(f"detect→update     : p95 {d2u.p95_s * 1e3:.1f} ms vs "
+              f"{d2u.deadline_s * 1e3:.1f} ms nominal budget")
     else:
         run = scheduler.run(recording)
         tracks = fuse_fleet(
@@ -563,7 +555,7 @@ def _cmd_fleet(args) -> int:
           f"({scheduler.n_shared_localizers} shared steering tensors)")
     say(f"fleet wall time   : {run.fleet_latency.mean_s * 1e3:.1f} ms "
           f"for {run.fleet_latency.deadline_s:.1f} s of audio "
-          f"({'real-time' if run.realtime else 'over budget'})")
+          f"({'real-time' if run.fleet_latency.realtime else 'over budget'})")
     say(format_report(report))
 
     # Localization scorecard: fused tracks vs the best single node's
@@ -584,7 +576,7 @@ def _cmd_fleet(args) -> int:
 
         hop = result.hop_latency
         doc = {
-            "engine": "parallel" if parallel else "streaming",
+            "engine": "parallel" if args.workers is not None else "streaming",
             "workers": args.workers or 0,
             "realtime": bool(result.realtime),
             "n_tracks": len(tracks),
@@ -614,7 +606,7 @@ def _cmd_fleet(args) -> int:
                 for h in report.node_health
             ],
         }
-        if parallel and result.detect_to_update is not None:
+        if result.detect_to_update is not None:
             d2u = result.detect_to_update
             doc["detect_to_update"] = {
                 "mean_ms": d2u.mean_s * 1e3,

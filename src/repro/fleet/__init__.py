@@ -13,11 +13,10 @@ the reproduction from one array to a corridor:
   latency accounting — offline via :meth:`FleetScheduler.run`, or live via
   :meth:`FleetScheduler.stream`: a hop-clocked :class:`FleetStream`
   session over per-node ring buffers (:mod:`repro.stream`) with per-hop
-  incremental fusion and live :class:`TrackUpdate` events, producing
-  tracks identical to the offline run — or, with ``workers=``, the
-  process-parallel :class:`~repro.stream.parallel.ParallelFleetStream`
-  (forked shard workers over shared-memory rings, adaptive per-shard
-  pacing, per-update stage budgets; still bit-identical tracks);
+  incremental fusion, live :class:`TrackUpdate` events and per-update
+  stage budgets, producing tracks identical to the offline run — with
+  every shard in-process (``workers=0``) or on forked shard workers over
+  shared-memory rings (``workers=N``);
 - :mod:`repro.fleet.fusion` — associate per-node detections across nodes
   and fuse them into road-coordinate Kalman tracks (bearing triangulation,
   wide-baseline TDOA upgrades, bearing-only survival, coast +

@@ -24,6 +24,7 @@ from repro.acoustics.trajectory import Trajectory
 from repro.dsp.block_fir import BlockFir
 from repro.arrays.topologies import uniform_circular_array
 from repro.sed.events import EVENT_CLASSES
+from repro.stream.source import Chunk, ChunkSource, RecordingChunkSource
 
 __all__ = [
     "Vehicle",
@@ -597,13 +598,8 @@ class CorridorBlockRenderer:
             self._out[node_id].push(acc)
 
 
-class IncrementalCorridorSource:
+class IncrementalCorridorSource(ChunkSource):
     """Chunk source that renders its node's audio on demand, block by block.
-
-    Implements the :class:`~repro.stream.source.ChunkSource` protocol
-    (``fs``, ``n_channels``, :meth:`next_chunk`) without inheriting it —
-    importing :mod:`repro.stream` at this module's top level would close an
-    import cycle (stream → parallel → fusion → corridor).
 
     The incremental twin of :class:`~repro.stream.source.RecordingChunkSource`:
     identical chunk framing (sequence numbers, capture timestamps, short
@@ -653,8 +649,6 @@ class IncrementalCorridorSource:
 
     def next_chunk(self):
         """Render and deliver the next chunk; ``None`` once the window ends."""
-        from repro.stream.source import Chunk
-
         while self._renderer.cursor(self._node_id) < self._n_samples:
             data = self._renderer.render_next(self._node_id, self.chunk_samples)
             seq = self._seq
@@ -780,8 +774,6 @@ class CorridorStream:
         then one per-node fault seed in scene node order), so a seeded
         incremental session reproduces the recorded session's faults.
         """
-        from repro.stream.source import RecordingChunkSource
-
         if self.incremental:
             renderer = CorridorBlockRenderer(
                 self._scene, self.fs, rng=self._rng, **self._synth_kwargs

@@ -419,8 +419,9 @@ class TrackUpdate:
     budget:
         End-to-end :class:`~repro.stream.budget.StageBudget` of this update
         (capture → delivery → ingest → kernel → fusion → emit), attached by
-        the process-parallel runtime; ``None`` in offline/serial sessions
-        that do not instrument stages.
+        the live :class:`repro.fleet.scheduler.FleetStream`; ``None`` in
+        the offline :func:`fuse_fleet` pass, which does not instrument
+        stages.
     """
 
     kind: str

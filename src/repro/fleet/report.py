@@ -20,7 +20,7 @@ from repro.core.pipeline import FrameResult
 from repro.core.realtime import LatencyStats
 from repro.fleet.corridor import CorridorNode
 from repro.fleet.fusion import FusedTrack, TrackUpdate, bearing_only_positions
-from repro.fleet.scheduler import FleetRunResult
+from repro.fleet.scheduler import FleetRunResult, FleetStreamResult
 from repro.stream.pacer import PacerStats
 
 __all__ = [
@@ -144,7 +144,7 @@ def _track_speed(track: FusedTrack, frame_period: float) -> float:
 
 def fleet_report(
     tracks: Sequence[FusedTrack],
-    run: FleetRunResult,
+    run: FleetRunResult | FleetStreamResult,
     *,
     frame_period: float,
     alert_policy_factory=AlertPolicy,
@@ -154,8 +154,10 @@ def fleet_report(
 ) -> FleetReport:
     """Build the corridor report from fused tracks and a fleet run.
 
-    ``pacer_stats`` (``node_id -> PacerStats``, e.g. from
-    :meth:`~repro.stream.parallel.ParallelStreamResult.node_pacer_stats`)
+    ``run`` is an offline :class:`FleetRunResult` or a finished live
+    :class:`FleetStreamResult`; only its ``node_stats`` and
+    ``node_results`` are read.  ``pacer_stats`` (``node_id ->
+    PacerStats``, e.g. from :meth:`FleetStreamResult.node_pacer_stats`)
     folds a paced session's overrun/catch-up accounting into each node's
     health row: the raw overrun count, the *debounced* overrun alerts from
     :class:`~repro.core.alerts.OverrunPolicy`, and the widest hop batch the

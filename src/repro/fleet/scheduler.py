@@ -28,13 +28,39 @@ engine exists to exploit.  The scheduler
 - accounts wall time per node and fleet-wide with
   :class:`~repro.core.realtime.LatencyMonitor` — against each node's
   capture duration offline, and against the hop deadline per step live.
+
+:class:`FleetStream` is the one live session driver.  Each shard's kernel
+pass lives in a :class:`_ShardRunner` that runs identically in the main
+process (``workers=0``, the default) and inside a forked worker of a
+:class:`~repro.stream.pool.ShardWorkerPool` (``workers=N``, or ``pool=``
+to join a pool shared by many sessions, as :mod:`repro.city` does):
+
+- **audio crosses the process boundary zero-copy.**  With workers, every
+  node's ring is a :class:`~repro.stream.ring.SharedRingBuffer` in
+  ``multiprocessing.shared_memory``; the worker pops hop frames straight
+  out of the same pages, and only the per-hop
+  :class:`~repro.core.pipeline.FrameResult` rows come back (through the
+  pool's shared-memory reply slab).
+- **workers are forked, not spawned.**  Fork inherits the scheduler's
+  built pipelines — detector weights, steering tensors, coarse-to-fine
+  pyramids — without pickling a single array.
+- **fusion stays in the main process.**  Replies merge in shard order and
+  step the incremental fusion engine, so fused tracks are bit-identical at
+  every worker count.
+
+Each shard is governed by a :class:`~repro.stream.pacer.Pacer`; by
+default its batch is fixed at ``hop_batch``, and an adaptive
+:class:`~repro.stream.pacer.PacerConfig` lets overruns widen a shard's
+batch and headroom shrink it.  Every emitted update carries a
+:class:`~repro.stream.budget.StageBudget` decomposing its detect-to-update
+latency across capture → delivery → ingest → kernel → fusion → emit.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +77,12 @@ from repro.sed.events import EVENT_CLASSES, class_index
 from repro.sed.models import build_sed_mlp
 from repro.ssl.refine import RefineState
 from repro.ssl.tracking import KalmanDoaTracker
+from repro.stream.budget import StageBudget, summarize_budgets
 from repro.stream.engine import IngestStats, NodeIngest
+from repro.stream.pacer import Pacer, PacerConfig, PacerStats, SharedCapacity
+from repro.stream.pool import ShardWorkerPool, WorkerCrashed, parallel_supported
+from repro.stream.ring import RingBuffer, SharedRingBuffer
+from repro.stream.slab import HopReply
 from repro.stream.source import ChunkSource
 from repro.stream.tap import SampleTap, mlat_tap_capacity
 
@@ -277,59 +308,41 @@ class FleetScheduler:
 
     def stream(
         self,
-        sources: "Mapping[str, ChunkSource]",
+        sources: Mapping[str, ChunkSource],
         *,
         hop_batch: int = 8,
-        workers: int | None = None,
-        pacer=None,
+        workers: int = 0,
+        pacer: PacerConfig | None = None,
         fusion_config: FusionConfig | None = None,
         recordings: Mapping[str, np.ndarray] | None = None,
         ring_capacity: int | None = None,
         late_tolerance_s: float | None = None,
         tap_window_s: float | None = None,
-    ):
-        """Open a hop-clocked live session over per-node chunk sources.
+    ) -> "FleetStream":
+        """Open a hop-clocked live :class:`FleetStream` over per-node sources.
 
         ``sources`` maps every node id to its :class:`ChunkSource` (e.g.
         from :meth:`repro.fleet.corridor.CorridorStream.sources`).  Each
-        :meth:`FleetStream.step` advances every shard by one ``hop_batch``
-        of hops and fuses the newly complete frames; the fused corridor
-        tracks are identical to :meth:`run` + :func:`~repro.fleet.fusion.
-        fuse_fleet` on the same audio.  Pass ``recordings`` to enable the
-        wide-baseline multilateration upgrade, exactly as with
-        :func:`fuse_fleet` — or ``tap_window_s`` to enable it *without*
-        recordings, from rolling per-node sample taps populated during
-        ingest (the only option for truly live feeds, where whole
-        recordings never exist).
+        :meth:`FleetStream.step` advances every shard by one hop batch and
+        fuses the newly complete frames; the fused corridor tracks are
+        identical to :meth:`run` + :func:`~repro.fleet.fusion.fuse_fleet`
+        on the same audio.  Pass ``recordings`` to enable the wide-baseline
+        multilateration upgrade, exactly as with :func:`fuse_fleet` — or
+        ``tap_window_s`` to enable it *without* recordings, from rolling
+        per-node sample taps populated during ingest (the only option for
+        truly live feeds, where whole recordings never exist).
 
-        With ``workers`` set (0 for the in-process reference path, >= 1
-        for forked shard workers over shared-memory rings) the session is
-        a :class:`~repro.stream.parallel.ParallelFleetStream` instead —
-        same surface and identical fused tracks, plus per-shard adaptive
-        pacing (``pacer``, a :class:`~repro.stream.pacer.PacerConfig`) and
-        per-update stage budgets.
+        ``workers`` (default 0: every shard in-process) forks that many
+        shard workers over shared-memory rings.  ``pacer`` (a
+        :class:`~repro.stream.pacer.PacerConfig`) governs each shard's
+        batch; by default every step advances exactly ``hop_batch`` hops.
         """
-        if workers is not None:
-            from repro.stream.parallel import ParallelFleetStream
-
-            return ParallelFleetStream(
-                self,
-                sources,
-                hop_batch=hop_batch,
-                workers=workers,
-                pacer=pacer,
-                fusion_config=fusion_config,
-                recordings=recordings,
-                ring_capacity=ring_capacity,
-                late_tolerance_s=late_tolerance_s,
-                tap_window_s=tap_window_s,
-            )
-        if pacer is not None:
-            raise ValueError("pacer requires the parallel runtime (pass workers=)")
         return FleetStream(
             self,
             sources,
             hop_batch=hop_batch,
+            workers=workers,
+            pacer=pacer,
             fusion_config=fusion_config,
             recordings=recordings,
             ring_capacity=ring_capacity,
@@ -364,8 +377,6 @@ class FleetScheduler:
         self, shard: list[str], clips: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, list[FrameResult]], dict[str, float]]:
         """Process one shard; returns results and attributed durations."""
-        import time
-
         t0 = time.perf_counter()
         pipes = [self.pipelines[nid] for nid in shard]
         shared = all(p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes)
@@ -410,17 +421,54 @@ class FleetStepResult:
     done: bool
 
 
+
+
 @dataclass(frozen=True)
 class FleetStreamResult:
     """Everything one :meth:`FleetStream.run` session produced.
 
     ``node_results``/``node_stats``/``fleet_latency``/``shards`` mirror
-    :class:`FleetRunResult` (so :func:`repro.fleet.report.fleet_report`
-    consumes a finished stream unchanged, via :meth:`as_run_result`); on
-    top of those, the live session adds the fused ``tracks``, the full
-    ``updates`` feed, the per-hop ``hop_latency`` distribution (the Sec. II
-    real-time criterion: one fleet step must fit the hop deadline) and the
-    per-node delivery accounting in ``ingest``.
+    :class:`FleetRunResult`, so :func:`repro.fleet.report.fleet_report`
+    consumes a finished stream directly.  On top of those the live session
+    adds:
+
+    Attributes
+    ----------
+    tracks, updates:
+        The fused tracks and the full live update feed.
+    hop_latency:
+        Per-hop step wall vs the hop deadline (the Sec. II real-time
+        criterion: one fleet step must fit the hop deadline).
+    ingest:
+        Per-node delivery accounting.
+    n_steps:
+        Session steps taken.
+    workers:
+        Worker processes used (0 = every shard in-process).
+    hop_batch:
+        The session's nominal hops per step.
+    pacer_stats:
+        ``shard index -> PacerStats``: overruns, widenings, shrinks and the
+        raw per-step records (feed them to
+        :class:`~repro.core.alerts.OverrunPolicy` for debounced alerts).
+    stage_budgets:
+        One :class:`StageBudget` per emitted update, in emission order.
+    detect_to_update:
+        Distribution of ``detect_to_update_ms`` vs the nominal budget of
+        one hop batch of delivery delay plus one hop of processing.
+    tap_misses:
+        Per-node count of :class:`~repro.stream.tap.SampleTap` reads that
+        returned ``None`` because the window had already been evicted
+        (streamed multilateration asked for audio older than the tap
+        keeps — a sizing signal, not an error).
+    n_steals, n_migrations, queue_depth_p95:
+        Pool-scheduling accounting for this session: shards stolen by idle
+        workers, total shard migrations (steals + forced), and the p95 of
+        the pool backlog sampled at each dispatch.  All zero in-process.
+    n_slab_replies, n_pipe_fallbacks:
+        How the session's hop replies traveled: decoded from the worker's
+        shared-memory slab (zero pickling) vs pickled over the pipe
+        (oversized or non-standard replies).
     """
 
     node_results: dict[str, list[FrameResult]]
@@ -432,77 +480,273 @@ class FleetStreamResult:
     hop_latency: LatencyStats
     ingest: dict[str, IngestStats]
     n_steps: int
+    workers: int
+    hop_batch: int
+    pacer_stats: dict[int, PacerStats]
+    stage_budgets: tuple[StageBudget, ...] = field(default=())
+    detect_to_update: LatencyStats | None = None
+    tap_misses: dict[str, int] = field(default_factory=dict)
+    n_steals: int = 0
+    n_migrations: int = 0
+    queue_depth_p95: float = 0.0
+    n_slab_replies: int = 0
+    n_pipe_fallbacks: int = 0
 
     @property
     def realtime(self) -> bool:
         """Whether the p95 per-hop fleet step met the hop deadline."""
         return self.hop_latency.realtime
 
-    def as_run_result(self) -> FleetRunResult:
-        """The offline-shaped view (for :func:`~repro.fleet.report.fleet_report`)."""
-        return FleetRunResult(
-            node_results=self.node_results,
-            node_stats=self.node_stats,
-            fleet_latency=self.fleet_latency,
-            shards=self.shards,
-        )
+    def stage_summary(self) -> dict[str, tuple[float, float]]:
+        """Per-stage ``(p50_ms, p95_ms)`` over every emitted update."""
+        return summarize_budgets(self.stage_budgets)
+
+    def node_pacer_stats(self) -> dict[str, PacerStats]:
+        """Each node's shard pacer accounting (nodes share their shard's)."""
+        return {
+            nid: self.pacer_stats[si]
+            for si, shard in enumerate(self.shards)
+            for nid in shard
+            if si in self.pacer_stats
+        }
+
+
+class _ShardRunner:
+    """The kernel side of one shard: rings in, FrameResults out.
+
+    Runs identically in-process (``workers=0``) and inside a forked worker
+    (``workers>=1``) — the same object, the same code path — which is what
+    makes the worker-count equivalence property testable at all.  Holds the
+    shard's per-node stream state (tracker, refinement, frame counter) next
+    to the pipelines so a forked worker owns everything its kernel pass
+    mutates.
+    """
+
+    def __init__(
+        self,
+        nids: list[str],
+        pipelines: dict[str, BlockPipeline],
+        rings: dict[str, RingBuffer],
+        frame_length: int,
+        hop_length: int,
+    ) -> None:
+        self.nids = list(nids)
+        self.pipelines = {nid: pipelines[nid] for nid in self.nids}
+        self.rings = {nid: rings[nid] for nid in self.nids}
+        self.frame_length = int(frame_length)
+        self.hop_length = int(hop_length)
+        self.trackers = {nid: KalmanDoaTracker() for nid in self.nids}
+        self.refine = {nid: RefineState() for nid in self.nids}
+        self.counts = {nid: 0 for nid in self.nids}
+
+    def step(self) -> HopReply:
+        """Pop every completed frame and run the shard's kernel pass.
+
+        Steady state pops one hop batch per node; after a stall the whole
+        backlog drains in one pass (catch up, don't let the bounded ring
+        overflow).
+        """
+        t0 = time.perf_counter()
+        blocks: list[np.ndarray] = []
+        nids: list[str] = []
+        for nid in self.nids:
+            frames = self.rings[nid].pop_frames(self.frame_length, self.hop_length)
+            if frames.shape[0]:
+                blocks.append(frames)
+                nids.append(nid)
+        if not nids:
+            return HopReply((), {}, time.perf_counter() - t0)
+        pipes = [self.pipelines[nid] for nid in nids]
+        shared = all(p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes)
+        if shared and len(nids) > 1:
+            # One shared-cache kernel pass for the whole shard: a single
+            # detector forward, per-node localization/tracking replay.
+            outs = pipes[0].pipeline.hop_kernel.run_clips(
+                blocks,
+                [self.trackers[nid] for nid in nids],
+                [self.refine[nid] for nid in nids],
+                [self.counts[nid] for nid in nids],
+            )
+        else:
+            outs = [
+                pipe.pipeline.hop_kernel.step(
+                    block,
+                    tracker=self.trackers[nid],
+                    state=self.refine[nid],
+                    start_index=self.counts[nid],
+                )
+                for nid, pipe, block in zip(nids, pipes, blocks)
+            ]
+        results: dict[str, list[FrameResult]] = {}
+        for nid, out in zip(nids, outs):
+            self.counts[nid] += len(out)
+            results[nid] = out
+        return HopReply(tuple(nids), results, time.perf_counter() - t0)
+
+    def state_dict(self) -> dict:
+        """The shard's mutable stream state (crash-recovery checkpoint).
+
+        Small by construction — scalar Kalman trackers, refinement window
+        bookkeeping and frame counters, a few hundred bytes — so a pool
+        worker can afford to ship it with every step reply.  The rings are
+        deliberately *not* part of it: their headers live in shared memory
+        owned by the main process and survive a worker crash on their own.
+        """
+        return {
+            "trackers": self.trackers,
+            "refine": self.refine,
+            "counts": dict(self.counts),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output (after a worker respawn)."""
+        self.trackers = dict(state["trackers"])
+        self.refine = dict(state["refine"])
+        self.counts = dict(state["counts"])
 
 
 class FleetStream:
     """A live hop-clocked session over a :class:`FleetScheduler`.
 
     Construction wires, per node, a :class:`~repro.stream.engine.NodeIngest`
-    (chunk source → ring buffer → hop blocks) plus stream-owned tracker and
-    refinement state, and one incremental
+    (chunk source → ring buffer → hop blocks), one :class:`_ShardRunner`
+    per shard holding the shard's tracker and refinement state, one
+    :class:`~repro.stream.pacer.Pacer` per shard, and one incremental
     :class:`~repro.fleet.fusion.FusionEngine` for the corridor.  Each
-    :meth:`step` then advances the engine clock by one hop batch:
+    :meth:`step` then:
 
-    1. every shard pulls its nodes' due chunks and runs the newly complete
-       hop blocks through the shard-lead pipeline's shared
-       :class:`~repro.core.hop.HopKernel` — one shared-cache detector pass
-       per shard per step, reusing the fleet's shared detector, steering
-       pyramids and (per node) temporal refinement windows;
-    2. the fusion frontier — frames every still-active node has finished —
-       advances, and each frontier frame is fused immediately
-       (associate/update/coast), emitting live
-       :class:`~repro.fleet.fusion.TrackUpdate` events;
-    3. the step's wall time is recorded against the hop deadline.
+    1. advances every shard's stream clock by its pacer's batch and pulls
+       the chunks delivered by then into the nodes' rings;
+    2. runs every shard's kernel pass — pop the newly complete hop blocks
+       and run them through the shard-lead pipeline's shared
+       :class:`~repro.core.hop.HopKernel` (one shared-cache detector pass
+       per shard per step) — in-process or in the shard's worker;
+    3. advances the fusion frontier — frames every still-active node has
+       finished — fusing each frontier frame immediately and emitting live
+       :class:`~repro.fleet.fusion.TrackUpdate` events, each stamped with a
+       :class:`~repro.stream.budget.StageBudget` of its detect-to-update
+       latency;
+    4. records the step's wall time against the hop deadline.
 
     Determinism contract: on the same audio (no drops, ample rings) the
     per-node result streams and the fused tracks are identical to the
     offline :meth:`FleetScheduler.run` + :func:`~repro.fleet.fusion.
-    fuse_fleet` pass — association decisions and all; asserted in
-    ``tests/test_fleet_stream.py``.
+    fuse_fleet` pass — association decisions and all — at every worker
+    count and under any batch schedule the pacers choose; asserted in
+    ``tests/test_fleet_stream.py`` and ``tests/test_stream_parallel.py``.
+
+    Parameters
+    ----------
+    scheduler:
+        The fleet (its pipelines are forked into the workers, so construct
+        and optionally warm it *before* opening the session).
+    hop_batch:
+        Nominal hops per step.
+    workers:
+        Worker processes; 0 runs every shard in-process through the exact
+        same :class:`_ShardRunner` code, >= 1 distributes shards over a
+        *private* forked :class:`~repro.stream.pool.ShardWorkerPool`
+        (workers inherit the runners, nothing is pickled).  Clamped to the
+        shard count.  Ignored when ``pool`` is given.
+    pool:
+        An existing :class:`~repro.stream.pool.ShardWorkerPool` to *join*
+        instead of forking a private one: the session registers its shard
+        runners on the pool's workers (runners pickle once; rings attach
+        by shared-memory name) and releases them on :meth:`close`.  This
+        is how :class:`repro.city.CitySupervisor` runs many sessions on
+        one set of workers.  Registered runners checkpoint their state, so
+        the pool can restore them after a worker death.
+    session_id:
+        Name registered on the shared pool (default ``"fleet"``); must be
+        unique among the pool's live sessions.
+    capacity:
+        Optional :class:`~repro.stream.pacer.SharedCapacity` the session's
+        pacers judge their budgets against (shards on an oversubscribed
+        pool widen earlier).  The session acquires one slot per shard
+        while open.
+    pacer:
+        Per-shard backpressure policy (shared config, independent state).
+        By default the batch is fixed at ``hop_batch``; pass
+        ``PacerConfig()`` for the adaptive policy, which widens on overrun
+        up to ``8 x hop_batch`` and shrinks when headroom returns.
+    fusion_config, recordings:
+        Fusion policy and the optional whole recordings for wide-baseline
+        multilateration (see :func:`~repro.fleet.fusion.fuse_fleet`).
+    ring_capacity:
+        Per-node ring size; the default covers the pacer's *maximum* batch
+        so a fully widened catch-up step never overwrites unread samples.
+    late_tolerance_s:
+        Chunk lateness tolerated before a chunk counts as late.
+    tap_window_s:
+        Enables streamed multilateration from rolling per-node sample taps,
+        so live sessions get wide-baseline fixes without any pre-rendered
+        ``recordings``.
+    clock, sleep:
+        Injected monotonic clock / sleep for the per-shard pacers (tests
+        drive paced sessions on a fake clock; production uses the real
+        ones).
+
+    Use as a context manager (or call :meth:`close`) so worker processes
+    and shared-memory segments are torn down deterministically.
+
+    Single-producer/single-consumer turn-taking makes the rings lock-free:
+    the main process pushes a shard's chunks *before* dispatching its step
+    and the runner pops *before* replying, so the two sides never touch a
+    ring concurrently.
     """
 
     def __init__(
         self,
         scheduler: FleetScheduler,
-        sources: "Mapping[str, ChunkSource]",
+        sources: Mapping[str, ChunkSource],
         *,
         hop_batch: int = 8,
+        workers: int = 0,
+        pool: ShardWorkerPool | None = None,
+        session_id: str | None = None,
+        capacity: SharedCapacity | None = None,
+        pacer: PacerConfig | None = None,
         fusion_config: FusionConfig | None = None,
         recordings: Mapping[str, np.ndarray] | None = None,
         ring_capacity: int | None = None,
         late_tolerance_s: float | None = None,
         tap_window_s: float | None = None,
+        clock=time.monotonic,
+        sleep=time.sleep,
     ) -> None:
         if hop_batch < 1:
             raise ValueError("hop_batch must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         missing = [n.node_id for n in scheduler.nodes if n.node_id not in sources]
         if missing:
             raise ValueError(f"missing sources for nodes: {missing}")
         cfg = scheduler.config
         self.scheduler = scheduler
         self.hop_batch = int(hop_batch)
+        self.session_id = session_id if session_id is not None else "fleet"
+        if pool is not None:
+            self.workers = pool.workers
+        else:
+            self.workers = min(int(workers), len(scheduler.shards))
+        if self.workers:
+            reason = parallel_supported()
+            if reason is not None:
+                raise RuntimeError(f"process-parallel execution unavailable: {reason}")
         # Shard-major node order matches the insertion order of the offline
         # run's node_results dict, so per-frame detection lists reach the
         # fusion engine in the identical order (association ties and all).
         self.node_order = [nid for shard in scheduler.shards for nid in shard]
         self._nodes = {n.node_id: n for n in scheduler.nodes}
         self._origins = {nid: n.position[:2].copy() for nid, n in self._nodes.items()}
+        pacer_cfg = pacer or PacerConfig(min_batch=self.hop_batch, max_batch=self.hop_batch)
+        max_batch = pacer_cfg.max_batch
+        if max_batch is None:
+            max_batch = max(8 * self.hop_batch, pacer_cfg.min_batch)
         if ring_capacity is None:
-            ring_capacity = 2 * (cfg.frame_length + self.hop_batch * cfg.hop_length)
+            # Cover the widest batch: a fully widened catch-up step must
+            # fit without overwriting unread samples.
+            ring_capacity = 2 * (cfg.frame_length + max_batch * cfg.hop_length)
         fcfg = fusion_config or FusionConfig()
         self.taps: dict[str, SampleTap] | None = None
         tap_capacity = 0
@@ -512,10 +756,12 @@ class FleetStream:
                 cfg.fs,
                 frame_length=cfg.frame_length,
                 hop_length=cfg.hop_length,
-                hop_batch=self.hop_batch,
+                hop_batch=max_batch,  # taps must survive a fully widened step
                 mlat_block=fcfg.mlat_block,
                 window_s=tap_window_s,
             )
+        self._shared_rings = self.workers > 0
+        self._rings: dict[str, RingBuffer] = {}
         self._ingest: dict[str, NodeIngest] = {}
         for node in scheduler.nodes:
             source = sources[node.node_id]
@@ -528,23 +774,59 @@ class FleetStream:
                 raise ValueError(
                     f"source fs {source.fs} does not match pipeline fs {cfg.fs}"
                 )
+            ring: RingBuffer
+            if self._shared_rings:
+                ring = SharedRingBuffer(node.array.n_mics, ring_capacity)
+            else:
+                ring = RingBuffer(node.array.n_mics, ring_capacity)
+            self._rings[node.node_id] = ring
             tap = None
             if self.taps is not None:
+                # Taps live main-process-side (fusion reads them there), so
+                # they stay heap-backed even when the rings are shared.
                 tap = SampleTap(node.array.n_mics, tap_capacity)
                 self.taps[node.node_id] = tap
             self._ingest[node.node_id] = NodeIngest(
                 source,
                 cfg.frame_length,
                 cfg.hop_length,
-                capacity=ring_capacity,
                 late_tolerance_s=late_tolerance_s,
+                ring=ring,
                 tap=tap,
             )
-        # Stream-owned per-node state: fresh tracker/refinement per session,
-        # exactly like the offline per-clip replay.
-        self._trackers = {nid: KalmanDoaTracker() for nid in self._nodes}
-        self._refine = {nid: RefineState() for nid in self._nodes}
+        # One runner per shard: the kernel-side state a worker owns.
+        self._runners = [
+            _ShardRunner(
+                shard,
+                scheduler.pipelines,
+                self._rings,
+                cfg.frame_length,
+                cfg.hop_length,
+            )
+            for shard in scheduler.shards
+        ]
+        self._pacers = [
+            Pacer(
+                cfg.frame_period_s,
+                hop_batch=self.hop_batch,
+                config=pacer_cfg,
+                capacity=capacity,
+                clock=clock,
+                sleep=sleep,
+            )
+            for _ in scheduler.shards
+        ]
+        self._capacity = capacity
+        if capacity is not None:
+            capacity.acquire(len(scheduler.shards))
+        self._t = [0.0 for _ in scheduler.shards]
+        # Main-side mirror of every node's result stream (runners report
+        # rows back each step; fusion and `done` read this copy).
         self._results: dict[str, list[FrameResult]] = {nid: [] for nid in self._nodes}
+        # Per-frame (delivery_ms, ingest_ms, kernel_ms) for budget assembly.
+        self._frame_cost: dict[str, list[tuple[float, float, float]]] = {
+            nid: [] for nid in self._nodes
+        }
         self.fusion = FusionEngine(
             scheduler.nodes,
             fcfg,
@@ -556,12 +838,36 @@ class FleetStream:
             taps=self.taps,
         )
         self.updates: list[TrackUpdate] = []
+        self.stage_budgets: list[StageBudget] = []
         self.hop_monitor = LatencyMonitor(cfg.frame_period_s)
         self._node_monitors = {nid: LatencyMonitor(cfg.frame_period_s) for nid in self._nodes}
-        self._t = 0.0
         self._wall = 0.0
         self._fused_upto = 0
         self._n_steps = 0
+        self._closed = False
+        self._pending: tuple[float, list[float]] | None = None
+        self._pool: ShardWorkerPool | None = None
+        self._owns_pool = False
+        if pool is not None:
+            # Join an existing shared pool: ship each runner over the pipe
+            # (pipelines pickle once, rings re-attach by segment name) so
+            # the pool's workers can serve this session alongside others.
+            pool.register(
+                self.session_id,
+                {si: runner for si, runner in enumerate(self._runners)},
+            )
+            self._pool = pool
+        elif self.workers:
+            # Private pool: fork *after* building the runners so the
+            # workers inherit pipelines and rings without any pickling.
+            self._pool = ShardWorkerPool(
+                self.workers,
+                preload={
+                    (self.session_id, si): runner
+                    for si, runner in enumerate(self._runners)
+                },
+            )
+            self._owns_pool = True
 
     # ------------------------------------------------------------------ API
 
@@ -577,68 +883,96 @@ class FleetStream:
             return False
         return self._fused_upto >= self._last_frame() + 1
 
-    def _node_done(self, nid: str) -> bool:
-        ing = self._ingest[nid]
-        return ing.exhausted and ing.ring.available < self.scheduler.config.frame_length
-
-    def _last_frame(self) -> int:
-        return max((len(r) for r in self._results.values()), default=0) - 1
-
     def step(self) -> FleetStepResult:
-        """Advance every shard by one hop batch and fuse the new frontier."""
+        """Advance every shard by its pacer's hop batch and fuse the frontier.
+
+        Equivalent to :meth:`step_begin` + :meth:`step_end`; a supervisor
+        multiplexing several sessions calls the two halves itself so every
+        session's workers compute concurrently.
+        """
+        self.step_begin()
+        return self.step_end()
+
+    def step_begin(self) -> None:
+        """Deliver this step's audio and dispatch the kernel commands.
+
+        Advances every shard's stream clock, pulls the now-delivered chunks
+        into the rings, and — when the session runs on a pool — enqueues
+        the step commands and *returns without waiting*, so the caller can
+        ``step_begin`` other sessions while the workers compute.  Complete
+        the step with :meth:`step_end`.
+        """
+        if self._closed:
+            raise RuntimeError("session is closed")
+        if self._pending is not None:
+            raise RuntimeError("a step is already in flight (call step_end)")
         cfg = self.scheduler.config
         t0 = time.perf_counter()
-        self._t += self.hop_batch * cfg.frame_period_s
-        new_results: dict[str, list[FrameResult]] = {}
-        hops_advanced = 0
-        for shard in self.scheduler.shards:
-            t_shard = time.perf_counter()
-            blocks: list[np.ndarray] = []
-            nids: list[str] = []
+        ingest_wall: list[float] = []
+        for si, shard in enumerate(self.scheduler.shards):
+            self._t[si] += self._pacers[si].batch * cfg.frame_period_s
+            self._pacers[si].wait(self._t[si])
+            t_ing = time.perf_counter()
             for nid in shard:
                 ing = self._ingest[nid]
-                ing.pull(None if ing._exhausted else self._t)
-                # Steady state: exactly hop_batch frames.  After a delivery
-                # stall the backlog drains in one step (catch up, don't let
-                # the bounded ring overflow).
-                frames = ing.pop_frames()
-                if frames.shape[0]:
-                    blocks.append(frames)
-                    nids.append(nid)
-            if not blocks:
-                continue
-            pipes = [self.scheduler.pipelines[nid] for nid in nids]
-            shared = all(
-                p.pipeline.localizer is pipes[0].pipeline.localizer for p in pipes
-            )
-            if shared and len(nids) > 1:
-                # One shared-cache kernel pass for the whole shard: a single
-                # detector forward, per-node localization/tracking replay.
-                outs = pipes[0].pipeline.hop_kernel.run_clips(
-                    blocks,
-                    [self._trackers[nid] for nid in nids],
-                    [self._refine[nid] for nid in nids],
-                    [len(self._results[nid]) for nid in nids],
-                )
-            else:
-                outs = [
-                    pipe.pipeline.hop_kernel.step(
-                        block,
-                        tracker=self._trackers[nid],
-                        state=self._refine[nid],
-                        start_index=len(self._results[nid]),
-                    )
-                    for nid, pipe, block in zip(nids, pipes, blocks)
-                ]
-            shard_wall = time.perf_counter() - t_shard
-            total_frames = sum(b.shape[0] for b in blocks)
-            for nid, out, block in zip(nids, outs, blocks):
+                ing.pull(None if ing.exhausted else self._t[si])
+            ingest_wall.append(time.perf_counter() - t_ing)
+        if self._pool is not None:
+            self._pool.step_send(self.session_id)
+        self._pending = (t0, ingest_wall)
+
+    def step_end(self) -> FleetStepResult:
+        """Collect the in-flight step's replies, fuse, and emit updates.
+
+        Replies merge in shard-index order.  Raises
+        :class:`~repro.stream.pool.WorkerCrashed` when a worker owning one
+        of this session's shards died; on a shared pool the supervisor may
+        call :meth:`~repro.stream.pool.ShardWorkerPool.recover` and retry —
+        the step stays pending until a collect succeeds.
+        """
+        if self._closed:
+            raise RuntimeError("session is closed")
+        if self._pending is None:
+            raise RuntimeError("no step in flight (call step_begin)")
+        cfg = self.scheduler.config
+        t0, ingest_wall = self._pending
+        if self._pool is not None:
+            replies = self._pool.step_collect(self.session_id)
+        else:
+            replies = {si: runner.step() for si, runner in enumerate(self._runners)}
+        self._pending = None
+        new_results: dict[str, list[FrameResult]] = {}
+        hops_advanced = 0
+        for si in range(len(self.scheduler.shards)):
+            rep = replies[si]
+            shard_hops = max((len(out) for out in rep.results.values()), default=0)
+            hops_advanced = max(hops_advanced, shard_hops)
+            total_frames = sum(len(out) for out in rep.results.values())
+            ingest_ms = ingest_wall[si] / total_frames * 1e3 if total_frames else 0.0
+            kernel_ms = rep.kernel_s / total_frames * 1e3 if total_frames else 0.0
+            for nid in rep.nids:
+                out = rep.results[nid]
+                base = len(self._results[nid])
+                for k in range(len(out)):
+                    # Stream-clock wait from capture-complete to this pop.
+                    f = base + k
+                    t_cap = (f * cfg.hop_length + cfg.frame_length) / cfg.fs
+                    delivery_ms = max(0.0, self._t[si] - t_cap) * 1e3
+                    self._frame_cost[nid].append((delivery_ms, ingest_ms, kernel_ms))
                 self._results[nid].extend(out)
                 new_results[nid] = out
-                hops_advanced = max(hops_advanced, block.shape[0])
                 # Per-hop attributed share of the shard's wall time.
-                self._node_monitors[nid].record(shard_wall / total_frames)
+                self._node_monitors[nid].record(
+                    (ingest_wall[si] + rep.kernel_s) / total_frames
+                )
+            # Backpressure: judge the shard's step cost against the hops it
+            # actually advanced; the pacer widens/shrinks its batch.
+            self._pacers[si].observe(ingest_wall[si] + rep.kernel_s, shard_hops)
+        fused_before = self._fused_upto
+        t_fuse = time.perf_counter()
         updates = self._fuse_frontier()
+        fusion_s = time.perf_counter() - t_fuse
+        updates = self._attach_budgets(updates, fusion_s, self._fused_upto - fused_before)
         self.updates.extend(updates)
         step_wall = time.perf_counter() - t0
         self._wall += step_wall
@@ -654,40 +988,14 @@ class FleetStream:
             done=self.done,
         )
 
-    def _fuse_frontier(self) -> list[TrackUpdate]:
-        """Fuse every frame all still-active nodes have completed."""
-        active_counts = [
-            len(self._results[nid]) for nid in self._nodes if not self._node_done(nid)
-        ]
-        if active_counts:
-            frontier = min(active_counts)
-        else:
-            frontier = self._last_frame() + 1  # ragged tail: fuse to the end
-        cfg = self.fusion.config
-        updates: list[TrackUpdate] = []
-        for frame in range(self._fused_upto, frontier):
-            detections = []
-            for nid in self.node_order:
-                results = self._results[nid]
-                if frame >= len(results):
-                    continue  # shorter capture: node ended before this frame
-                det = detection_from_result(
-                    results[frame],
-                    self._nodes[nid],
-                    config=cfg,
-                    origin=self._origins[nid],
-                )
-                if det is not None:
-                    detections.append(det)
-            updates.extend(self.fusion.step(frame, detections))
-        self._fused_upto = max(self._fused_upto, frontier)
-        return updates
-
     def run(self) -> FleetStreamResult:
-        """Step until every source is drained; returns the session summary."""
-        while not self.done:
-            self.step()
-        return self.finalize()
+        """Step until every source is drained; closes workers when done."""
+        try:
+            while not self.done:
+                self.step()
+            return self.finalize()
+        finally:
+            self.close()
 
     def finalize(self) -> FleetStreamResult:
         """Summarize the session (callable mid-run for a snapshot)."""
@@ -722,6 +1030,36 @@ class FleetStream:
             )
         else:
             hop_latency = self.hop_monitor.stats()
+        # Nominal end-to-end budget: one hop batch of delivery delay plus
+        # one hop of processing.
+        d2u_deadline = (self.hop_batch + 1) * cfg.frame_period_s
+        if self.stage_budgets:
+            vals = np.asarray([b.detect_to_update_ms for b in self.stage_budgets]) / 1e3
+            detect_to_update = LatencyStats(
+                mean_s=float(vals.mean()),
+                p95_s=float(np.percentile(vals, 95)),
+                max_s=float(vals.max()),
+                deadline_s=d2u_deadline,
+            )
+        else:
+            detect_to_update = LatencyStats(
+                mean_s=0.0, p95_s=0.0, max_s=0.0, deadline_s=d2u_deadline
+            )
+        if self._pool is not None:
+            sched = self._pool.session_stats(self.session_id)
+        else:
+            sched = {
+                "n_steals": 0,
+                "n_migrations": 0,
+                "queue_depth_p95": 0.0,
+                "n_slab_replies": 0,
+                "n_pipe_fallbacks": 0,
+            }
+        tap_misses = (
+            {nid: tap.n_misses for nid, tap in self.taps.items()}
+            if self.taps is not None
+            else {}
+        )
         return FleetStreamResult(
             node_results=self.node_results,
             node_stats=node_stats,
@@ -732,4 +1070,133 @@ class FleetStream:
             hop_latency=hop_latency,
             ingest={nid: ing.stats for nid, ing in self._ingest.items()},
             n_steps=self._n_steps,
+            workers=self.workers,
+            hop_batch=self.hop_batch,
+            pacer_stats={si: p.stats() for si, p in enumerate(self._pacers)},
+            stage_budgets=tuple(self.stage_budgets),
+            detect_to_update=detect_to_update,
+            tap_misses=tap_misses,
+            **sched,
         )
+
+    def close(self) -> None:
+        """Leave/shut the pool and release shared-memory rings (idempotent).
+
+        A private pool (``workers=N``) is shut down outright; a shared pool
+        (``pool=``) only has this session's runners released — the pool and
+        its other sessions keep running.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._pending = None
+        if self._pool is not None:
+            try:
+                if self._owns_pool:
+                    self._pool.close()
+                else:
+                    self._pool.release(self.session_id)
+            except (WorkerCrashed, RuntimeError):  # pragma: no cover - dying pool
+                pass
+            self._pool = None
+        if self._capacity is not None:
+            self._capacity.release(len(self.scheduler.shards))
+            self._capacity = None
+        if self._shared_rings:
+            for ring in self._rings.values():
+                try:
+                    ring.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
+
+    def __enter__(self) -> "FleetStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------- internals
+
+    def _node_done(self, nid: str) -> bool:
+        ing = self._ingest[nid]
+        return ing.exhausted and ing.ring.available < self.scheduler.config.frame_length
+
+    def _last_frame(self) -> int:
+        return max((len(r) for r in self._results.values()), default=0) - 1
+
+    def _fuse_frontier(self) -> list[TrackUpdate]:
+        """Fuse every frame all still-active nodes have completed.
+
+        Fusion runs in the main process over the merged result streams, in
+        shard-major node order, so association decisions cannot depend on
+        worker count.
+        """
+        active_counts = [
+            len(self._results[nid]) for nid in self._nodes if not self._node_done(nid)
+        ]
+        if active_counts:
+            frontier = min(active_counts)
+        else:
+            frontier = self._last_frame() + 1  # ragged tail: fuse to the end
+        cfg = self.fusion.config
+        updates: list[TrackUpdate] = []
+        for frame in range(self._fused_upto, frontier):
+            detections = []
+            for nid in self.node_order:
+                results = self._results[nid]
+                if frame >= len(results):
+                    continue  # shorter capture: node ended before this frame
+                det = detection_from_result(
+                    results[frame],
+                    self._nodes[nid],
+                    config=cfg,
+                    origin=self._origins[nid],
+                )
+                if det is not None:
+                    detections.append(det)
+            updates.extend(self.fusion.step(frame, detections))
+        self._fused_upto = max(self._fused_upto, frontier)
+        return updates
+
+    def _attach_budgets(
+        self, updates: list[TrackUpdate], fusion_s: float, n_fused: int
+    ) -> list[TrackUpdate]:
+        """Stamp each new update with its detect-to-update stage breakdown.
+
+        Delivery/ingest/kernel are the max over the nodes contributing that
+        frame (the update waited for the slowest node); fusion is the
+        frontier pass attributed per fused frame; emit is measured here.
+        """
+        if not updates:
+            return updates
+        cfg = self.scheduler.config
+        capture_ms = cfg.capture_latency_s * 1e3
+        fusion_ms = fusion_s / max(1, n_fused) * 1e3
+        t_emit = time.perf_counter()
+        out: list[TrackUpdate] = []
+        for u in updates:
+            delivery = ingest = kernel = 0.0
+            for nid in self.node_order:
+                costs = self._frame_cost[nid]
+                if u.frame_index < len(costs):
+                    d, i, k = costs[u.frame_index]
+                    delivery = max(delivery, d)
+                    ingest = max(ingest, i)
+                    kernel = max(kernel, k)
+            budget = StageBudget(
+                capture_ms=capture_ms,
+                delivery_ms=delivery,
+                ingest_ms=ingest,
+                kernel_ms=kernel,
+                fusion_ms=fusion_ms,
+                emit_ms=(time.perf_counter() - t_emit) * 1e3,
+            )
+            self.stage_budgets.append(budget)
+            out.append(replace(u, budget=budget))
+        return out

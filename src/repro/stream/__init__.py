@@ -25,13 +25,15 @@ package closes that gap with a hop-clocked runtime over the same shared
 - :mod:`repro.stream.pool` — the :class:`ShardWorkerPool` of forked
   workers serving shard runners of *many* sessions (register/step/
   release/recover protocol; worker death surfaces as
-  :class:`WorkerCrashed`);
+  :class:`WorkerCrashed`), and :func:`parallel_supported`, which says
+  whether this platform can fork workers over shared memory;
 - :mod:`repro.stream.slab` — :class:`SharedResultSlab`, the per-worker
   seqlock'd shared-memory reply slots that carry each shard's
-  :class:`HopReply` back to the main process with zero pickling;
-- :mod:`repro.stream.parallel` — the process-parallel fleet runtime
-  (:class:`ParallelFleetStream`), one session over its own or a shared
-  pool.
+  :class:`HopReply` back to the main process with zero pickling.
+
+The fleet session driver built on these pieces,
+:class:`repro.fleet.FleetStream`, lives in :mod:`repro.fleet.scheduler`;
+this package does not import :mod:`repro.fleet`.
 
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
@@ -48,30 +50,30 @@ pinning; preloaded fork-inherited shards never migrate).  Pool pressure
 (queue depth + steal rate) feeds :class:`SharedCapacity`, which scales
 every paced session's ``min_batch`` city-wide under sustained backlog.
 
-Execution tiers of the fleet stack, slowest-coupling first:
+Execution tiers of the fleet stack:
 
-===========  ==========================================================
-serial       :class:`repro.fleet.FleetStream` — every shard's kernel
-             pass in the main process.  Lowest overhead; wins for small
-             fleets and short captures.
-threaded     :meth:`repro.fleet.FleetScheduler.run` with
-             ``use_threads=True`` (offline only) — shards on a thread
-             pool; helps once NumPy releases the GIL for long batches.
-process      :class:`ParallelFleetStream` — each shard's kernel in a
-             forked worker fed through shared-memory rings; the per-hop
-             Python cost parallelizes too.  Wins for many-node fleets
-             and dense (per-hop localization) workloads; costs a fork
-             plus one pipe round-trip per step.
-supervisor   :class:`repro.city.CitySupervisor` — many concurrent
-             corridor sessions multiplexed onto one
-             :class:`ShardWorkerPool`, sessions joining and leaving
-             mid-run, per-session pacing judged against the shared
-             capacity, city-wide health rollups on top.
-===========  ==========================================================
+==========  ===========================================================
+offline     :meth:`repro.fleet.FleetScheduler.run` — whole recordings,
+            one ragged batch per shard, optionally on a thread pool
+            (``use_threads=True``).
+live        :class:`repro.fleet.FleetStream` (from
+            :meth:`~repro.fleet.FleetScheduler.stream`) — one driver at
+            ``workers=0..N``: 0 runs every shard's kernel pass in the
+            main process; N forks shard workers fed through
+            shared-memory rings, so the per-hop Python cost
+            parallelizes too, at the price of a fork plus one pipe
+            round-trip per step.
+supervisor  :class:`repro.city.CitySupervisor` — many concurrent
+            corridor sessions multiplexed onto one
+            :class:`ShardWorkerPool`, sessions joining and leaving
+            mid-run, per-session pacing judged against the shared
+            capacity, city-wide health rollups on top.
+==========  ===========================================================
 
 All tiers drive the same :class:`~repro.core.hop.HopKernel` and produce
-bit-identical per-node results and fused tracks — including every
-session of a shared-pool city run vs the same corridor standalone.
+bit-identical per-node results and fused tracks — at every worker count,
+and for every session of a shared-pool city run vs the same corridor
+standalone.
 """
 
 from repro.stream.engine import IngestStats, NodeIngest, StreamPipeline, StreamRunResult
@@ -86,16 +88,8 @@ from repro.stream.budget import (
 )
 from repro.stream.pacer import Pacer, PacerConfig, PacerStats, SharedCapacity
 from repro.stream.slab import HopReply, SharedResultSlab, StringInterner
-from repro.stream.pool import ShardWorkerPool, WorkerCrashed
+from repro.stream.pool import ShardWorkerPool, WorkerCrashed, parallel_supported
 from repro.stream.tap import SampleTap, mlat_tap_capacity
-
-# Imported last: parallel pulls in repro.fleet.fusion, which may re-enter
-# this package mid-initialization — everything it needs is already bound.
-from repro.stream.parallel import (
-    ParallelFleetStream,
-    ParallelStreamResult,
-    parallel_supported,
-)
 
 __all__ = [
     "Chunk",
@@ -106,8 +100,6 @@ __all__ = [
     "Pacer",
     "PacerConfig",
     "PacerStats",
-    "ParallelFleetStream",
-    "ParallelStreamResult",
     "RecordingChunkSource",
     "RingBuffer",
     "STAGES",

@@ -75,7 +75,7 @@ class NodeIngest:
         one hop period at the source rate.
     ring:
         An externally owned ring to ingest into instead of allocating one —
-        how the process-parallel runtime injects a
+        how :class:`repro.fleet.FleetStream` injects a
         :class:`~repro.stream.ring.SharedRingBuffer` so the pushed audio
         lands directly in the shard worker's shared pages.  ``capacity`` is
         ignored when given.

@@ -1,10 +1,10 @@
 """Shared pool of forked shard workers: one pool, many sessions, stealing.
 
-PR 6's :class:`~repro.stream.parallel.ParallelFleetStream` owned its worker
-processes outright — one pool per corridor session, workers inheriting the
-session's shard runners at fork.  A city of corridors cannot afford that:
-K concurrent sessions x W workers each oversubscribes the machine W-fold,
-and every join pays a full fork.  This module is the standalone
+A :class:`~repro.fleet.scheduler.FleetStream` opened with ``workers=N``
+owns its worker processes outright — one pool per corridor session,
+workers inheriting the session's shard runners at fork.  A city of
+corridors cannot afford that: K concurrent sessions x W workers each
+oversubscribes the machine W-fold, and every join pays a full fork.  This module is the standalone
 :class:`ShardWorkerPool` that **one set of forked workers serves many
 sessions** — and, since PR 9, schedules them by **work stealing** instead
 of static pinning:
@@ -50,8 +50,10 @@ of static pinning:
 
 The pool is deliberately ignorant of what a "runner" is: anything with
 ``step() -> reply`` works, plus ``state_dict()``/``load_state_dict(state)``
-when registered recoverably.  :mod:`repro.stream.parallel` provides the
+when registered recoverably.  :mod:`repro.fleet.scheduler` provides the
 fleet runner; :mod:`repro.city` builds the multi-session supervisor on top.
+:func:`parallel_supported` says whether this platform can fork workers
+over shared memory at all.
 """
 
 from __future__ import annotations
@@ -65,13 +67,33 @@ from typing import Mapping
 
 from repro.stream.slab import HopReply, SharedResultSlab, StringInterner
 
-__all__ = ["WorkerCrashed", "ShardWorkerPool"]
+__all__ = ["WorkerCrashed", "ShardWorkerPool", "parallel_supported"]
 
 # Step commands each worker holds in its pipe at once.  Two keeps a worker
 # busy while its previous reply crosses back (pipelining) and matches the
 # slab's slot count: the main process decodes slot k before dispatching the
 # command that could rewrite it, so slot reuse is race-free by protocol.
 _MAX_INFLIGHT = 2
+
+
+def parallel_supported() -> str | None:
+    """Why process-parallel execution is unavailable here, or ``None``.
+
+    Needs the ``fork`` start method (workers inherit built pipelines
+    without pickling) and a working ``multiprocessing.shared_memory``
+    (some sandboxes mount no /dev/shm).
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "the 'fork' start method is unavailable on this platform"
+    try:
+        from multiprocessing import shared_memory
+
+        seg = shared_memory.SharedMemory(create=True, size=8)
+        seg.close()
+        seg.unlink()
+    except Exception as exc:  # pragma: no cover - environment specific
+        return f"multiprocessing.shared_memory is unavailable: {exc}"
+    return None
 
 
 class WorkerCrashed(RuntimeError):

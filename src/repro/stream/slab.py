@@ -8,9 +8,10 @@ For a city of corridors stepping many shards per supervisor tick that is
 the last per-hop serialization on the steady-state path.  This module
 removes it:
 
-- :class:`HopReply` is the reply payload itself (one shard's kernel pass) —
-  formerly ``repro.stream.parallel._ShardReply``, promoted here so both the
-  worker protocol and the runtime share one definition.
+- :class:`HopReply` is the reply payload itself (one shard's kernel pass,
+  as returned by the shard runner of :class:`~repro.fleet.scheduler.
+  FleetStream`), defined here so the worker protocol and the session
+  driver share one definition.
 - :class:`SharedResultSlab` is a per-worker ``multiprocessing.
   shared_memory`` segment holding a small number of preallocated reply
   slots (one per step command the pool allows in flight).  A worker encodes

@@ -37,10 +37,9 @@ from repro.city import (
     render_corridor,
 )
 from repro.core import PipelineConfig
-from repro.fleet import CorridorStream, FleetScheduler, OracleDetector
+from repro.fleet import CorridorStream, FleetScheduler, FleetStream, OracleDetector
 from repro.stream import (
     Pacer,
-    ParallelFleetStream,
     SharedCapacity,
     ShardWorkerPool,
     WorkerCrashed,
@@ -311,7 +310,7 @@ def standalone_result(spec, scenario):
         drop_prob=spec.drop_prob,
         rng=rngs[spec.corridor_id],
     )
-    with ParallelFleetStream(
+    with FleetStream(
         sched, feed.sources(), hop_batch=scenario.hop_batch, workers=0
     ) as session:
         result = session.run()

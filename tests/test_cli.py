@@ -135,6 +135,20 @@ class TestFleetJson:
         for node in doc["nodes"]:
             assert {"node_id", "realtime", "n_overruns"} <= set(node)
 
+    def test_min_batch_without_workers_runs_in_process(self, capsys):
+        import json
+
+        code = main(
+            ["fleet", "--stream", "--n-nodes", "2", "--spacing", "12",
+             "--duration", "0.5", "--n-azimuth", "36", "--min-batch", "2",
+             "--json"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["engine"] == "streaming"
+        assert doc["workers"] == 0
+        assert "detect_to_update" in doc
+
     def test_tap_misses_reported_with_streamed_mlat(self, capsys):
         import json
 

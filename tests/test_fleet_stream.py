@@ -190,11 +190,35 @@ class TestFleetStreamSession:
         # Every frame got fused and the update feed saw confirmations.
         counts = summarize_updates(result.updates)
         assert counts["confirmed"] >= 1
-        # The offline-shaped view feeds the standard corridor report.
+        # The finished stream feeds the standard corridor report.
         report = fleet_report(
-            result.tracks, result.as_run_result(), frame_period=cfg.frame_period_s
+            result.tracks, result, frame_period=cfg.frame_period_s
         )
         assert report.n_vehicles >= 1
+
+    def test_report_reads_stream_result_directly(self):
+        nodes, recording = corridor(duration=0.8, n_vehicles=1)
+        cfg = config(n_azimuth=24)
+        sched = FleetScheduler(nodes, cfg, detector=OracleDetector("siren_wail"))
+        result = sched.stream(
+            CorridorStream(recording, chunk_samples=cfg.hop_length).sources(),
+            hop_batch=4,
+            tap_window_s=1.0,
+        ).run()
+        report = fleet_report(
+            result.tracks,
+            result,
+            frame_period=cfg.frame_period_s,
+            pacer_stats=result.node_pacer_stats(),
+            tap_misses=result.tap_misses,
+        )
+        assert [h.node_id for h in report.node_health] == sorted(result.node_stats)
+        for health in report.node_health:
+            stats = result.node_stats[health.node_id]
+            assert health.n_frames == stats.n_frames
+            assert health.n_detections == stats.n_detections
+            assert health.peak_hop_batch == 4  # the fixed default batch
+            assert health.n_tap_misses == 0
 
     def test_live_updates_feed_renders(self):
         nodes, recording = corridor(duration=0.8, n_vehicles=1)

@@ -22,7 +22,7 @@ The PR 9 contract, in layers:
   stream.pacer.Pacer` applies (and relaxes it when the pool drains).
 - **telemetry reaches the operator.**  Steal/migration counts, queue-depth
   p95, slab-vs-pipe reply counts and evicted tap reads ride
-  ``session_stats`` → :class:`~repro.stream.parallel.ParallelStreamResult`
+  ``session_stats`` → :class:`~repro.fleet.scheduler.FleetStreamResult`
   → the fleet/city reports; the supervisor's snapshot trail appends JSONL
   health lines mid-run.
 - **the headline determinism contract survives scheduling.**  City runs
@@ -52,12 +52,11 @@ from repro.city import (
 )
 from repro.core import PipelineConfig
 from repro.core.realtime import LatencyStats
-from repro.fleet import CorridorStream, FleetScheduler, OracleDetector
+from repro.fleet import CorridorStream, FleetScheduler, FleetStream, OracleDetector
 from repro.fleet.report import FleetReport, NodeHealth, fleet_report, format_report
 from repro.stream import (
     Pacer,
     PacerConfig,
-    ParallelFleetStream,
     SharedCapacity,
     ShardWorkerPool,
     WorkerCrashed,
@@ -429,7 +428,7 @@ class TestTapMissReporting:
         )
         feed = CorridorStream(recording, chunk_samples=sched.config.hop_length)
         node_ids = [n.node_id for n in recording.scene.nodes]
-        with ParallelFleetStream(
+        with FleetStream(
             sched, feed.sources(), hop_batch=8, workers=0, tap_window_s=0.1
         ) as session:
             while not session.done:
@@ -445,7 +444,7 @@ class TestTapMissReporting:
         assert all(result.tap_misses[nid] == 0 for nid in node_ids[1:])
         report = fleet_report(
             result.tracks,
-            result.as_run_result(),
+            result,
             frame_period=config.frame_period_s,
             tap_misses=result.tap_misses,
         )
@@ -537,7 +536,7 @@ def standalone_result(spec, scenario):
         drop_prob=spec.drop_prob,
         rng=rngs[spec.corridor_id],
     )
-    with ParallelFleetStream(
+    with FleetStream(
         sched, feed.sources(), hop_batch=scenario.hop_batch, workers=0
     ) as session:
         result = session.run()

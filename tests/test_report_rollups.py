@@ -21,10 +21,11 @@ from repro.core import OverrunPolicy, PipelineConfig
 from repro.fleet import (
     CorridorStream,
     FleetScheduler,
+    FleetStream,
     OracleDetector,
     fleet_report,
 )
-from repro.stream import PacerStats, ParallelFleetStream
+from repro.stream import PacerStats
 
 
 def empty_stats():
@@ -63,7 +64,7 @@ def small_run():
         recording.scene.nodes, config, detector=OracleDetector("siren_wail")
     )
     feed = CorridorStream(recording, chunk_samples=config.hop_length, rng=rng)
-    with ParallelFleetStream(sched, feed.sources(), hop_batch=8, workers=0) as s:
+    with FleetStream(sched, feed.sources(), hop_batch=8, workers=0) as s:
         result = s.run()
     sched.close()
     return config, result
@@ -77,7 +78,7 @@ class TestFleetReportPacerStats:
         node_ids = sorted(result.node_results)
         report = fleet_report(
             result.tracks,
-            result.as_run_result(),
+            result,
             frame_period=config.frame_period_s,
             pacer_stats={nid: empty_stats() for nid in node_ids},
         )
@@ -94,7 +95,7 @@ class TestFleetReportPacerStats:
         stats = stats_from_records([(1.0, 0.1, 8)] * 4)  # all overrun
         report = fleet_report(
             result.tracks,
-            result.as_run_result(),
+            result,
             frame_period=config.frame_period_s,
             pacer_stats={covered: stats},
         )
@@ -118,7 +119,7 @@ class TestFleetReportPacerStats:
         stats = stats_from_records(records)
         report = fleet_report(
             result.tracks,
-            result.as_run_result(),
+            result,
             frame_period=config.frame_period_s,
             pacer_stats={nid: stats for nid in result.node_results},
         )

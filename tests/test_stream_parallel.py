@@ -9,14 +9,16 @@ The contract under test, in layers:
 - the :class:`Pacer` backpressure policy widens on overrun, shrinks on
   headroom, and never leaves its configured bounds; the debounced
   :class:`OverrunPolicy` turns its records into sustained-overrun alerts;
-- :class:`ParallelFleetStream` produces **bit-identical** fused tracks to
-  the serial :class:`FleetStream` and the offline run, for workers 0 and 1
-  (multi-worker counts in the ``parallel``-marked class) and under any
-  adaptive hop-batch schedule the pacer might choose.
+- :class:`FleetStream` produces **bit-identical** fused tracks to the
+  offline run, for workers 0 and 1 (multi-worker counts in the
+  ``parallel``-marked class) and under any adaptive hop-batch schedule the
+  pacer might choose.
 """
 
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +42,6 @@ from repro.stream import (
     NodeIngest,
     Pacer,
     PacerConfig,
-    ParallelFleetStream,
     RingBuffer,
     SharedRingBuffer,
     StageBudget,
@@ -370,7 +371,7 @@ class TestStageBudget:
 
 
 # --------------------------------------------------------------------------
-# ParallelFleetStream: determinism across execution modes
+# FleetStream: determinism across execution modes
 # --------------------------------------------------------------------------
 
 
@@ -434,7 +435,7 @@ def scene():
 
 @pytest.fixture(scope="module")
 def serial_reference(scene):
-    """Serial FleetStream session + offline run on the same scene."""
+    """Default in-process FleetStream session + offline run on the same scene."""
     nodes, recording = scene
     cfg = config()
     offline = scheduler(nodes, cfg).run(recording)
@@ -452,7 +453,7 @@ def parallel_run(scene, **kwargs):
     sched = scheduler(nodes, cfg)
     sources = CorridorStream(recording, chunk_samples=256).sources()
     kwargs.setdefault("hop_batch", 8)
-    with ParallelFleetStream(sched, sources, **kwargs) as session:
+    with FleetStream(sched, sources, **kwargs) as session:
         return session.run()
 
 
@@ -482,7 +483,9 @@ class TestParallelEquivalence:
         sched = scheduler(nodes, cfg)
         sources = CorridorStream(recording, chunk_samples=256).sources()
         rng = np.random.default_rng(3)
-        with ParallelFleetStream(sched, sources, hop_batch=8, workers=0) as session:
+        with FleetStream(
+            sched, sources, hop_batch=8, workers=0, pacer=PacerConfig()
+        ) as session:
             while not session.done:
                 # Emulate an aggressively adapting pacer: any schedule of
                 # effective batches must leave the results untouched.
@@ -520,7 +523,7 @@ class TestParallelEquivalence:
         assert set(per_node) == set(result.node_results)
         report = fleet_report(
             result.tracks,
-            result.as_run_result(),
+            result,
             frame_period=config().frame_period_s,
             pacer_stats=per_node,
         )
@@ -529,23 +532,59 @@ class TestParallelEquivalence:
             assert health.n_overruns >= 0
             assert health.n_overrun_alerts >= 0
 
-    def test_scheduler_stream_dispatch(self, scene):
+    def test_scheduler_stream_dispatch(self, scene, serial_reference):
+        _, offline_tracks, _ = serial_reference
         nodes, recording = scene
         sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
-        assert isinstance(sched.stream(sources), FleetStream)
-        sources = CorridorStream(recording, chunk_samples=256).sources()
-        session = sched.stream(sources, workers=0)
-        assert isinstance(session, ParallelFleetStream)
+        session = sched.stream(sources)
+        assert isinstance(session, FleetStream)
+        assert session.workers == 0
         session.close()
-        with pytest.raises(ValueError, match="workers"):
-            sched.stream(sources, pacer=PacerConfig())
+        # A pacer needs no workers: the in-process session runs it.
+        sources = CorridorStream(recording, chunk_samples=256).sources()
+        with sched.stream(sources, pacer=PacerConfig(min_batch=2)) as session:
+            result = session.run()
+        assert result.workers == 0
+        assert_tracks_identical(offline_tracks, result.tracks)
+
+    def test_default_stream_runs_the_fixed_batch(self, scene):
+        """Without a pacer every shard advances exactly hop_batch hops."""
+        nodes, recording = scene
+        sched = scheduler(nodes, config())
+        sources = CorridorStream(recording, chunk_samples=256).sources()
+        with sched.stream(sources, hop_batch=8) as session:
+            result = session.run()
+        assert len(result.pacer_stats) == len(result.shards)
+        for stats in result.pacer_stats.values():
+            assert stats.min_batch_used == stats.max_batch_used == 8
+            assert stats.n_widenings == 0
+            assert stats.n_shrinks == 0
+
+    def test_stream_package_does_not_import_fleet(self):
+        code = (
+            "import sys, repro.stream; "
+            "print([m for m in sys.modules if m.startswith('repro.fleet')])"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_step_after_close_raises(self, scene):
         nodes, recording = scene
         sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
-        session = ParallelFleetStream(sched, sources, workers=0)
+        session = FleetStream(sched, sources, workers=0)
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.step()
@@ -555,11 +594,11 @@ class TestParallelEquivalence:
         sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
         with pytest.raises(ValueError):
-            ParallelFleetStream(sched, sources, hop_batch=0)
+            FleetStream(sched, sources, hop_batch=0)
         with pytest.raises(ValueError):
-            ParallelFleetStream(sched, sources, workers=-1)
+            FleetStream(sched, sources, workers=-1)
         with pytest.raises(ValueError, match="missing sources"):
-            ParallelFleetStream(sched, {})
+            FleetStream(sched, {})
 
 
 class TestPacedSessions:
@@ -581,7 +620,7 @@ class TestPacedSessions:
             slept.append(s)
             now[0] += s  # sleeping advances the fake capture clock
 
-        return ParallelFleetStream(
+        return FleetStream(
             sched,
             sources,
             hop_batch=8,
@@ -652,7 +691,7 @@ class TestMultiWorker:
         nodes, recording = scene
         sched = scheduler(nodes, config())
         sources = CorridorStream(recording, chunk_samples=256).sources()
-        session = ParallelFleetStream(sched, sources, hop_batch=8, workers=2)
+        session = FleetStream(sched, sources, hop_batch=8, workers=2)
         try:
             session.step()  # both workers alive and stepping
             victim = session._pool._procs[0]
