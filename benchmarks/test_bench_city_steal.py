@@ -17,8 +17,8 @@ are excluded).  The claims asserted:
 
 1. fused corridor tracks are **bit-identical** between the stealing and
    the pinned run (scheduling is a latency policy, never a results
-   policy — the migration machinery restores checkpointed state, so a
-   stolen shard continues exactly where it left off);
+   policy — the migration machinery restores each shard's step
+   checkpoint, so a stolen shard continues exactly where it left off);
 2. the skew is real: the stealing run actually stole (city-wide
    ``n_steals > 0``) and the pinned run never did;
 3. with >= 4 usable cores, the stealing run's step p95 is at most

@@ -7,8 +7,9 @@ runs through :meth:`FleetScheduler.stream` at ``workers=0`` (the in-process
 baseline) and then at 1, 2 and 4 workers, all on the same scene and the
 same pinned schedule (the default fixed pacer: every step advances exactly
 ``hop_batch=8`` hops).  Each row times session construction — for workers,
-the fork — as ``setup_ms``, apart from the steady-state ``wall_ms`` of the
-run itself; the speedup compares steady-state walls.  The claims asserted:
+the fork plus registering (pickling once) every shard runner — as
+``setup_ms``, apart from the steady-state ``wall_ms`` of the run itself;
+the speedup compares steady-state walls.  The claims asserted:
 
 1. fused corridor tracks are **bit-identical** across the in-process
    baseline and every worker count (the determinism contract of
@@ -119,9 +120,11 @@ def _assert_tracks_identical(ref_tracks, tracks, label):
 def _timed_session(nodes, recording, workers):
     """One warm session at ``workers``: ``(result, setup_ms, wall_ms)``.
 
-    The warmup session builds the lazy steering pyramids, so forked workers
-    start from a warm parent and every run compares kernels only.
-    ``setup_ms`` times session construction (the fork, for workers >= 1);
+    The warmup session builds the lazy steering pyramids, so the runners
+    every session registers carry warm pipelines and every run compares
+    kernels only.
+    ``setup_ms`` times session construction (for workers >= 1, the fork
+    plus the registration that pickles each shard runner once);
     ``wall_ms`` the steady-state run after it.
     """
     sched = _scheduler(nodes)

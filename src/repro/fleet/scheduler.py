@@ -41,9 +41,13 @@ to join a pool shared by many sessions, as :mod:`repro.city` does):
   out of the same pages, and only the per-hop
   :class:`~repro.core.pipeline.FrameResult` rows come back (through the
   pool's shared-memory reply slab).
-- **workers are forked, not spawned.**  Fork inherits the scheduler's
-  built pipelines — detector weights, steering tensors, coarse-to-fine
-  pyramids — without pickling a single array.
+- **workers are forked, not spawned, and every runner is registered.**
+  Fork gives each worker the already-imported code and the pool's reply
+  slabs; each shard runner then pickles once onto its worker — detector
+  weights, steering tensors, coarse-to-fine pyramids — whether the pool
+  is private (``workers=N``) or shared (``pool=``).  Every registered
+  runner checkpoints its state each step, so a killed worker is
+  recoverable either way.
 - **fusion stays in the main process.**  Replies merge in shard order and
   step the incremental fusion engine, so fused tracks are bit-identical at
   every worker count.
@@ -646,7 +650,8 @@ class FleetStream:
         Worker processes; 0 runs every shard in-process through the exact
         same :class:`_ShardRunner` code, >= 1 distributes shards over a
         *private* forked :class:`~repro.stream.pool.ShardWorkerPool`
-        (workers inherit the runners, nothing is pickled).  Clamped to the
+        without stealing: the runners register on it (each pickles once),
+        one per worker round-robin, and stay pinned.  Clamped to the
         shard count.  Ignored when ``pool`` is given.
     pool:
         An existing :class:`~repro.stream.pool.ShardWorkerPool` to *join*
@@ -655,7 +660,7 @@ class FleetStream:
         by shared-memory name) and releases them on :meth:`close`.  This
         is how :class:`repro.city.CitySupervisor` runs many sessions on
         one set of workers.  Registered runners checkpoint their state, so
-        the pool can restore them after a worker death.
+        either pool can restore them after a worker death.
     session_id:
         Name registered on the shared pool (default ``"fleet"``); must be
         unique among the pool's live sessions.
@@ -847,27 +852,20 @@ class FleetStream:
         self._closed = False
         self._pending: tuple[float, list[float]] | None = None
         self._pool: ShardWorkerPool | None = None
-        self._owns_pool = False
+        self._owns_pool = pool is None and self.workers > 0
+        if self._owns_pool:
+            # Private pool, statically pinned: on an empty pool register's
+            # least-loaded placement is round-robin over the workers.  Held
+            # before registering so close() shuts it down if that fails.
+            pool = self._pool = ShardWorkerPool(self.workers, steal=False)
         if pool is not None:
-            # Join an existing shared pool: ship each runner over the pipe
-            # (pipelines pickle once, rings re-attach by segment name) so
-            # the pool's workers can serve this session alongside others.
-            pool.register(
-                self.session_id,
-                {si: runner for si, runner in enumerate(self._runners)},
-            )
+            # Ship each runner over the pipe (pipelines pickle once, rings
+            # re-attach by segment name) so the pool's workers can serve
+            # this session, alongside others on a shared pool.  A shared
+            # pool is held only once registered: a refused join must not
+            # release another session of the same id on close().
+            pool.register(self.session_id, dict(enumerate(self._runners)))
             self._pool = pool
-        elif self.workers:
-            # Private pool: fork *after* building the runners so the
-            # workers inherit pipelines and rings without any pickling.
-            self._pool = ShardWorkerPool(
-                self.workers,
-                preload={
-                    (self.session_id, si): runner
-                    for si, runner in enumerate(self._runners)
-                },
-            )
-            self._owns_pool = True
 
     # ------------------------------------------------------------------ API
 
@@ -926,9 +924,10 @@ class FleetStream:
 
         Replies merge in shard-index order.  Raises
         :class:`~repro.stream.pool.WorkerCrashed` when a worker owning one
-        of this session's shards died; on a shared pool the supervisor may
-        call :meth:`~repro.stream.pool.ShardWorkerPool.recover` and retry —
-        the step stays pending until a collect succeeds.
+        of this session's shards died; the caller (on a shared pool, the
+        supervisor) may call :meth:`~repro.stream.pool.ShardWorkerPool.
+        recover` and retry — the step stays pending until a collect
+        succeeds.
         """
         if self._closed:
             raise RuntimeError("session is closed")

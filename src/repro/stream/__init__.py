@@ -46,9 +46,10 @@ ran its whole session on one worker or migrated a dozen times, and a
 crash *mid-migration* resolves through the same recover/retry path as any
 other :class:`WorkerCrashed`.  One skewed corridor can no longer stall
 its neighbours while other workers idle (``steal=False`` restores static
-pinning; preloaded fork-inherited shards never migrate).  Pool pressure
-(queue depth + steal rate) feeds :class:`SharedCapacity`, which scales
-every paced session's ``min_batch`` city-wide under sustained backlog.
+pinning, which every private ``FleetStream(workers=N)`` pool uses).  Pool
+pressure (queue depth + steal rate) feeds :class:`SharedCapacity`, which
+scales every paced session's ``min_batch`` city-wide under sustained
+backlog.
 
 Execution tiers of the fleet stack:
 

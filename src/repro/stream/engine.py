@@ -323,7 +323,7 @@ class StreamPipeline:
             raise RuntimeError("no source attached")
         cfg = self.pipeline.config
         self._t += self.hop_batch * cfg.frame_period_s
-        self.ingest.pull(None if self.ingest._exhausted else self._t)
+        self.ingest.pull(None if self.ingest.exhausted else self._t)
         frames = self.ingest.pop_frames()
         if frames.shape[0] == 0:
             return []

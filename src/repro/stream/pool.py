@@ -1,20 +1,17 @@
 """Shared pool of forked shard workers: one pool, many sessions, stealing.
 
 A :class:`~repro.fleet.scheduler.FleetStream` opened with ``workers=N``
-owns its worker processes outright — one pool per corridor session,
-workers inheriting the session's shard runners at fork.  A city of
+owns a private pool — one pool per corridor session.  A city of
 corridors cannot afford that: K concurrent sessions x W workers each
 oversubscribes the machine W-fold, and every join pays a full fork.  This module is the standalone
 :class:`ShardWorkerPool` that **one set of forked workers serves many
 sessions** — and, since PR 9, schedules them by **work stealing** instead
 of static pinning:
 
-- **runners are registered, not only inherited.**  A session that exists
-  when the pool forks can preload its runners (zero pickling, the PR 6
-  path); a session that *joins later* registers each shard runner over the
-  worker's pipe (the runner pickles its pipelines once; its
-  :class:`~repro.stream.ring.SharedRingBuffer` rings pickle by segment
-  name, so audio stays zero-copy).
+- **runners are registered.**  Every session, private or shared, ships
+  each shard runner over its worker's pipe (the runner pickles its
+  pipelines once; its :class:`~repro.stream.ring.SharedRingBuffer` rings
+  pickle by segment name, so audio stays zero-copy).
 - **steps are per-shard work items on per-worker deques.**
   ``step_send(session)`` enqueues one hop-step item per shard onto its
   current worker's queue and keeps at most :data:`_MAX_INFLIGHT` commands
@@ -25,9 +22,8 @@ of static pinning:
   last step checkpoint on the thief — exactly the machinery
   :meth:`recover` uses for crash restore, so fused tracks stay
   bit-identical whether or not a shard ever migrated.  Shards with a step
-  already in flight, and preloaded shards (no registration payload), are
-  never stolen.  ``steal=False`` keeps the static pinning (the E19
-  baseline).
+  already in flight are never stolen.  ``steal=False`` keeps the static
+  pinning (the E19 baseline and every private session's pool).
 - **hop results come back through shared memory.**  Each worker owns a
   :class:`~repro.stream.slab.SharedResultSlab`; a
   :class:`~repro.stream.slab.HopReply` is encoded into a seqlock'd slot
@@ -36,8 +32,8 @@ of static pinning:
   control channel and the fallback for oversized or non-standard replies).
 - **worker death is a typed, attributed error.**  Any pipe operation on a
   dead worker raises :class:`WorkerCrashed` naming the shards that worker
-  owned.  Registered runners checkpoint their mutable state with every
-  step reply, so :meth:`ShardWorkerPool.recover` can fork a replacement
+  owned.  Every runner checkpoints its mutable state with every step
+  reply, so :meth:`ShardWorkerPool.recover` can fork a replacement
   worker, re-register the lost shards, restore them to their last
   completed step and re-queue the lost in-flight items — a crash between
   steps loses nothing, a crash mid-step (including mid-*migration*)
@@ -49,9 +45,9 @@ of static pinning:
   :mod:`repro.stream.pacer`).
 
 The pool is deliberately ignorant of what a "runner" is: anything with
-``step() -> reply`` works, plus ``state_dict()``/``load_state_dict(state)``
-when registered recoverably.  :mod:`repro.fleet.scheduler` provides the
-fleet runner; :mod:`repro.city` builds the multi-session supervisor on top.
+``step() -> reply`` plus ``state_dict()``/``load_state_dict(state)``
+works.  :mod:`repro.fleet.scheduler` provides the fleet runner;
+:mod:`repro.city` builds the multi-session supervisor on top.
 :func:`parallel_supported` says whether this platform can fork workers
 over shared memory at all.
 """
@@ -75,13 +71,19 @@ __all__ = ["WorkerCrashed", "ShardWorkerPool", "parallel_supported"]
 # command that could rewrite it, so slot reuse is race-free by protocol.
 _MAX_INFLIGHT = 2
 
+# Per-slot payload capacity of each worker's reply slab (see
+# :class:`~repro.stream.slab.SharedResultSlab`); a reply that does not fit
+# falls back to the pipe.
+_SLAB_SLOT_INTS = 8192
+_SLAB_SLOT_FLOATS = 8192
+
 
 def parallel_supported() -> str | None:
     """Why process-parallel execution is unavailable here, or ``None``.
 
-    Needs the ``fork`` start method (workers inherit built pipelines
-    without pickling) and a working ``multiprocessing.shared_memory``
-    (some sandboxes mount no /dev/shm).
+    Needs the ``fork`` start method (workers inherit the pool's reply
+    slabs and the already-imported code) and a working
+    ``multiprocessing.shared_memory`` (some sandboxes mount no /dev/shm).
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return "the 'fork' start method is unavailable on this platform"
@@ -137,12 +139,13 @@ def _shard_label(sid: str, key: int) -> str:
     return f"{sid}/shard{key}"
 
 
-def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
+def _pool_worker_main(conn, slab) -> None:
     """Worker loop: register/restore/step/drop/release runners on command.
 
-    ``owned`` maps ``(session_id, shard_key)`` to a runner; preloaded
-    entries arrive via fork inheritance, later ones over the pipe.  A
-    shard migrating away is ``drop``\\ ped into a *dormant* cache rather
+    ``owned`` maps ``(session_id, shard_key)`` to a runner; it starts
+    empty and fills through ``register`` commands.  Every step reply
+    carries the runner's pickled ``state_dict()`` checkpoint.  A shard
+    migrating away is ``drop``\\ ped into a *dormant* cache rather
     than discarded, so a later re-register with a ``None`` payload revives
     it without re-unpickling the pipelines.  Every command gets exactly
     one reply (``("ok",)``, ``("stepped", ...)`` or :class:`_WorkerError`),
@@ -157,6 +160,7 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
     import traceback
 
     interner = StringInterner()
+    owned: dict = {}
     dormant: dict = {}
     slot = 0
     try:
@@ -170,10 +174,8 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
                     _, sid, key = msg
                     runner = owned[(sid, key)]
                     reply = runner.step()
-                    state = (
-                        pickle.dumps(runner.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
-                        if (sid, key) in checkpointed
-                        else None
+                    state = pickle.dumps(
+                        runner.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
                     )
                     kind = body = None
                     fresh: tuple = ()
@@ -186,20 +188,17 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
                         kind, body = "pipe", reply
                     conn.send(("stepped", sid, key, kind, body, state, fresh))
                 elif cmd == "register":
-                    _, sid, key, blob, checkpoint = msg
+                    _, sid, key, blob = msg
                     if blob is None:
                         # Migration revival: the shard lived here before and
                         # its runner is parked in the dormant cache.
                         owned[(sid, key)] = dormant.pop((sid, key))
                     else:
                         owned[(sid, key)] = pickle.loads(blob)
-                    if checkpoint:
-                        checkpointed.add((sid, key))
                     conn.send(("ok",))
                 elif cmd == "drop":
                     _, sid, key = msg
                     dormant[(sid, key)] = owned.pop((sid, key))
-                    checkpointed.discard((sid, key))
                     conn.send(("ok",))
                 elif cmd == "restore":
                     _, sid, key, blob = msg
@@ -209,7 +208,6 @@ def _pool_worker_main(owned: dict, checkpointed: set, conn, slab) -> None:
                     sid = msg[1]
                     for k in [k for k in owned if k[0] == sid]:
                         owned.pop(k, None)
-                        checkpointed.discard(k)
                     for k in [k for k in dormant if k[0] == sid]:
                         dormant.pop(k, None)
                     conn.send(("ok",))
@@ -243,13 +241,8 @@ class ShardWorkerPool:
     ----------
     workers:
         Worker process count (>= 1; a zero-worker "pool" is just in-process
-        execution and needs no pool object).
-    preload:
-        ``(session_id, shard_key) -> runner`` entries the workers inherit
-        at fork — the PR 6 single-session path, paying no pickling.
-        Preloaded runners are **not recoverable** (no registration payload
-        to replay: a dead worker surfaces as :class:`WorkerCrashed`) and
-        are **never stolen** (migration needs the payload too).
+        execution and needs no pool object).  Workers fork empty; sessions
+        put their runners on them with :meth:`register`.
     max_shards_per_worker:
         Admission-control knob for :meth:`saturated`: a supervisor should
         degrade new sessions to in-process execution once admitting them
@@ -263,9 +256,6 @@ class ShardWorkerPool:
         Optional :class:`~repro.stream.pacer.SharedCapacity` fed the
         pool's backlog and steal rate each ``step_send`` (also settable
         later via the :attr:`capacity` attribute).
-    slab_slot_ints, slab_slot_floats:
-        Per-slot payload capacity of each worker's reply slab (see
-        :class:`~repro.stream.slab.SharedResultSlab`).
 
     The pool must be closed (:meth:`close`) to join its workers and unlink
     their reply slabs; sessions should :meth:`release` themselves when they
@@ -276,12 +266,9 @@ class ShardWorkerPool:
         self,
         workers: int,
         *,
-        preload: Mapping[tuple[str, int], object] | None = None,
         max_shards_per_worker: int | None = None,
         steal: bool = True,
         capacity=None,
-        slab_slot_ints: int = 8192,
-        slab_slot_floats: int = 8192,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1 (use in-process execution for 0)")
@@ -299,8 +286,8 @@ class ShardWorkerPool:
         self._slabs = [
             SharedResultSlab(
                 n_slots=_MAX_INFLIGHT,
-                slot_ints=slab_slot_ints,
-                slot_floats=slab_slot_floats,
+                slot_ints=_SLAB_SLOT_INTS,
+                slot_floats=_SLAB_SLOT_FLOATS,
             )
             for _ in range(self.workers)
         ]
@@ -332,14 +319,8 @@ class ShardWorkerPool:
         # SIGKILL the thief here).
         self._migration_hook = None
         self._closed = False
-        preload = dict(preload or {})
-        owned_per_worker: list[dict] = [{} for _ in range(self.workers)]
-        for i, key in enumerate(sorted(preload)):
-            w = i % self.workers
-            owned_per_worker[w][key] = preload[key]
-            self._assign[key] = w
         for w in range(self.workers):
-            self._spawn(w, owned_per_worker[w])
+            self._spawn(w)
 
     # ------------------------------------------------------------------ API
 
@@ -371,29 +352,13 @@ class ShardWorkerPool:
         """Scheduling accounting for one session: ``n_steals``,
         ``n_migrations``, ``n_slab_replies``, ``n_pipe_fallbacks`` and the
         p95 of the pool backlog sampled at each of its dispatches."""
-        stats = self._session_stats.get(session_id)
-        if stats is None:
-            return {
-                "n_steals": 0,
-                "n_migrations": 0,
-                "n_slab_replies": 0,
-                "n_pipe_fallbacks": 0,
-                "queue_depth_p95": 0.0,
-            }
-        depths = stats["queue_depths"]
-        if depths:
-            ordered = sorted(depths)
-            # Nearest-rank p95 without pulling numpy into the hot path.
-            p95 = float(ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))])
-        else:
-            p95 = 0.0
-        return {
-            "n_steals": stats["n_steals"],
-            "n_migrations": stats["n_migrations"],
-            "n_slab_replies": stats["n_slab_replies"],
-            "n_pipe_fallbacks": stats["n_pipe_fallbacks"],
-            "queue_depth_p95": p95,
-        }
+        stats = dict(self._session_stats.get(session_id) or _new_session_stats())
+        ordered = sorted(stats.pop("queue_depths"))
+        # Nearest-rank p95 without pulling numpy into the hot path.
+        stats["queue_depth_p95"] = (
+            float(ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]) if ordered else 0.0
+        )
+        return stats
 
     def register(self, session_id: str, runners: Mapping[int, object]) -> None:
         """Register a joining session's shard runners (least-loaded workers).
@@ -418,7 +383,7 @@ class ShardWorkerPool:
             blob = pickle.dumps(runners[key], protocol=pickle.HIGHEST_PROTOCOL)
             shard = (session_id, int(key))
             self._expect[w].append(("ok",))
-            self._send(w, ("register", session_id, int(key), blob, True))
+            self._send(w, ("register", session_id, int(key), blob))
             self._assign[shard] = w
             self._payloads[shard] = blob
             self._seeded[shard] = {w}
@@ -487,7 +452,7 @@ class ShardWorkerPool:
         stats["queue_depths"].append(
             max(len(self._queues[w]) + len(self._inflight[w]) for w in range(self.workers))
         )
-        if self.capacity is not None and hasattr(self.capacity, "note_pressure"):
+        if self.capacity is not None:
             steals = self.n_steals - self._noted_steals
             self._noted_steals = self.n_steals
             self.capacity.note_pressure(backlog, steals)
@@ -522,17 +487,13 @@ class ShardWorkerPool:
         """Forcibly move one registered shard to worker ``to``.
 
         The same drop → re-register → restore sequence work stealing uses,
-        exposed for tests and explicit rebalancing.  Refuses preloaded
-        shards (no payload to replay) and shards with a step in flight.
+        exposed for tests and explicit rebalancing.  Refuses shards with a
+        step in flight.
         """
         self._check_open()
         shard = (session_id, int(key))
         if shard not in self._assign:
             raise ValueError(f"unknown shard {_shard_label(session_id, key)}")
-        if shard not in self._payloads:
-            raise ValueError(
-                f"preloaded shard {_shard_label(session_id, key)} cannot migrate"
-            )
         if not 0 <= int(to) < self.workers:
             raise ValueError(f"worker index {to} out of range")
         src = self._assign[shard]
@@ -550,9 +511,7 @@ class ShardWorkerPool:
         registration payload and restored to its last step checkpoint;
         hop-step items that were in flight are re-queued at the *front* of
         the respawned worker's deque (oldest first), so a pending
-        :meth:`step_collect` can simply be retried.  Raises
-        :class:`WorkerCrashed` when a dead worker owned a preloaded
-        (non-recoverable) shard.
+        :meth:`step_collect` can simply be retried.
         """
         self._check_open()
         restarted = 0
@@ -561,14 +520,6 @@ class ShardWorkerPool:
             if proc is None or proc.is_alive():
                 continue
             shards = sorted(s for s, owner in self._assign.items() if owner == w)
-            lost = [s for s in shards if s not in self._payloads]
-            if lost:
-                raise WorkerCrashed(
-                    w,
-                    proc.pid,
-                    proc.exitcode,
-                    tuple(_shard_label(sid, key) for sid, key in lost),
-                )
             pending = list(self._inflight[w])
             self._inflight[w].clear()
             self._expect[w].clear()
@@ -583,10 +534,10 @@ class ShardWorkerPool:
                 pass
             proc.join(timeout=1.0)
             self._slabs[w].reset()
-            self._spawn(w, {})
+            self._spawn(w)
             for sid, key in shards:
                 self._expect[w].append(("ok",))
-                self._send(w, ("register", sid, key, self._payloads[(sid, key)], True))
+                self._send(w, ("register", sid, key, self._payloads[(sid, key)]))
                 self._seeded[(sid, key)].add(w)
                 state = self._checkpoints.get((sid, key))
                 if state is not None:
@@ -659,14 +610,11 @@ class ShardWorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
 
-    def _spawn(self, w: int, owned: dict) -> None:
+    def _spawn(self, w: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        # Preloaded (fork-inherited) runners never checkpoint: with no
-        # registration payload to replay they are unrecoverable anyway, and
-        # skipping the per-step state pickle keeps the PR 6 zero-pickle path.
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(owned, set(), child_conn, self._slabs[w]),
+            args=(child_conn, self._slabs[w]),
             daemon=True,
         )
         proc.start()
@@ -722,9 +670,9 @@ class ShardWorkerPool:
         genuinely saturated, while a queued item with spare in-flight
         capacity merely means the dispatch loop has not reached that worker
         yet (``step_send`` fills workers in index order) and it would run
-        the item itself immediately.  Only registered shards (payload
-        available) with no step in flight can move — a mid-step migration
-        would fork the runner's state history.
+        the item itself immediately.  Only shards with no step in flight
+        can move — a mid-step migration would fork the runner's state
+        history.
         """
         victim, depth = None, 0
         for v in range(self.workers):
@@ -737,15 +685,7 @@ class ShardWorkerPool:
         if victim is None:
             return False
         inflight = set(self._inflight[victim])
-        candidates: list[tuple[str, int]] = []
-        seen: set = set()
-        for item in self._queues[victim]:
-            if item in seen:
-                continue
-            seen.add(item)
-            if item not in self._payloads or item in inflight:
-                continue
-            candidates.append(item)
+        candidates = [c for c in dict.fromkeys(self._queues[victim]) if c not in inflight]
         if not candidates:
             return False
         # Prefer a shard this worker already holds dormant: reviving it
@@ -785,11 +725,11 @@ class ShardWorkerPool:
             stats["n_steals"] += 1
         if self._migration_hook is not None:
             self._migration_hook(shard, src, dst)
-        seeded = self._seeded.setdefault(shard, set())
+        seeded = self._seeded[shard]
         blob = None if dst in seeded else self._payloads[shard]
         seeded.add(dst)
         self._expect[dst].append(("ok",))
-        self._send(dst, ("register", sid, key, blob, True))
+        self._send(dst, ("register", sid, key, blob))
         state = self._checkpoints.get(shard)
         if state is not None:
             self._expect[dst].append(("ok",))
@@ -874,8 +814,7 @@ class ShardWorkerPool:
         # worker's runner has already advanced past this step, so a crash
         # from here on must restore *this* state or the re-run would fork
         # the shard's history.
-        if state is not None:
-            self._checkpoints[(sid, key)] = state
+        self._checkpoints[(sid, key)] = state
         for gen in self._gens.get(sid, ()):
             if key in gen["pending"]:
                 gen["pending"].discard(key)

@@ -121,9 +121,12 @@ def _print_report(groups: dict[str, list[dict]]) -> None:
         print(" | ".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
 
 
-# Benches that only record rows on multi-core machines; their absence from
-# a trail is expected on single-core runners and never a check failure.
-MULTICORE_ONLY = ("E16_city_parallel", "E19_city_steal_on", "E19_city_steal_off")
+# Benches that only record rows on multi-core machines (written only by
+# ``parallel``-marked bench modules); their absence from a trail is expected
+# on single-core runners and never a check failure.
+MULTICORE_ONLY = tuple(f"E16_parallel_fleet_{w}w" for w in (1, 2, 4)) + (
+    "E16_detect_to_update", "E18_paced_min_batch", "E19_city_steal_on", "E19_city_steal_off",
+)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,9 +3,8 @@
 The contract under test, in layers:
 
 - :class:`ShardWorkerPool` serves shard runners of *many* sessions on one
-  set of forked workers (register/step/release), survives worker death for
-  registered sessions (checkpoint + :meth:`recover`), and refuses to
-  silently lose preloaded ones;
+  set of forked workers (register/step/release) and survives worker death
+  (checkpoint + :meth:`recover`);
 - :class:`SharedCapacity` arithmetic and the :class:`Pacer`'s fair-share
   budget scaling against it;
 - scenario declaration and **seed hygiene**: every corridor renders
@@ -145,22 +144,6 @@ class TestShardWorkerPool:
             # collecting yields the continuation, not a restart from zero.
             assert pool.step_collect("a") == {0: (0, 2)}
             assert pool.step("a") == {0: (0, 3)}
-
-    def test_preloaded_shards_are_not_recoverable(self):
-        pool = ShardWorkerPool(1, preload={("a", 0): CountingRunner(0)})
-        try:
-            assert pool.step("a") == {0: (0, 1)}
-            proc = pool._procs[0]
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.join()
-            with pytest.raises(WorkerCrashed):
-                pool.step("a")
-            # No registration payload to replay: recovery must refuse
-            # rather than silently restart the shard from scratch.
-            with pytest.raises(WorkerCrashed, match="a/shard0"):
-                pool.recover()
-        finally:
-            pool.close()
 
     def test_worker_exception_propagates_with_traceback(self):
         with ShardWorkerPool(1) as pool:

@@ -15,6 +15,7 @@ The contract under test, in layers:
   pacer might choose.
 """
 
+import gc
 import os
 import signal
 import subprocess
@@ -44,6 +45,7 @@ from repro.stream import (
     PacerConfig,
     RingBuffer,
     SharedRingBuffer,
+    ShardWorkerPool,
     StageBudget,
     format_stage_summary,
     WorkerCrashed,
@@ -589,6 +591,24 @@ class TestParallelEquivalence:
         with pytest.raises(RuntimeError, match="closed"):
             session.step()
 
+    @needs_processes
+    def test_refused_join_keeps_the_live_session(self, scene):
+        """A join refused for a duplicate session id must leave the pool's
+        live session of that id registered once the refused one is freed."""
+        nodes, recording = scene
+
+        def join(pool):
+            sources = CorridorStream(recording, chunk_samples=256).sources()
+            return FleetStream(scheduler(nodes, config()), sources, pool=pool)
+
+        with ShardWorkerPool(1) as pool:
+            with join(pool) as live:
+                with pytest.raises(ValueError, match="already registered"):
+                    join(pool)
+                gc.collect()
+                assert pool.sessions() == ["fleet"]
+                live.step()
+
     def test_validation(self, scene):
         nodes, recording = scene
         sched = scheduler(nodes, config())
@@ -707,6 +727,30 @@ class TestMultiWorker:
             assert "died" in str(err) and "fleet/shard" in str(err)
         finally:
             session.close()
+
+    def test_private_pool_recovers_killed_worker(self, scene, serial_reference):
+        """A private pool registers its runners like a shared one, so a
+        SIGKILLed worker respawns from the last checkpoint and the session
+        finishes with tracks bit-identical to the in-process run."""
+        _, _, serial = serial_reference
+        nodes, recording = scene
+        sched = scheduler(nodes, config())
+        sources = CorridorStream(recording, chunk_samples=256).sources()
+        with FleetStream(sched, sources, hop_batch=8, workers=2) as session:
+            session.step()
+            victim = session._pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            session.step_begin()
+            with pytest.raises(WorkerCrashed):
+                session.step_end()
+            assert session._pool.recover() == 1
+            session.step_end()
+            while not session.done:
+                session.step()
+            result = session.finalize()
+        assert_frame_streams_equal(serial.node_results, result.node_results)
+        assert_tracks_identical(serial.tracks, result.tracks)
 
 
 # --------------------------------------------------------------------------

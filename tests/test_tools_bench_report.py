@@ -1,11 +1,13 @@
 """Tests for the bench-trail report tool (``repro.tools.bench_report``)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.tools.bench_report import (
+    MULTICORE_ONLY,
     check_rows,
     group_rows,
     load_rows,
@@ -120,3 +122,18 @@ class TestRepoTrail:
         if not trail.exists():
             pytest.skip("no recorded trail in this checkout")
         assert main(["--json", str(trail), "--check"]) == 0
+
+    def test_multicore_only_names_are_recorded_benches(self):
+        """Every MULTICORE_ONLY name is written by some ``bench_json(...)``
+        call under ``benchmarks/`` — a stale name would make --check report a
+        skip for a bench that no longer exists."""
+        bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+        recorded = set()
+        for path in bench_dir.glob("*.py"):
+            for fmt, name in re.findall(r'bench_json\(\s*(f?)"([^"]+)"', path.read_text()):
+                if fmt and "{workers}" in name:
+                    # E16 records one row per worker count in its sweep.
+                    recorded |= {name.replace("{workers}", str(w)) for w in (1, 2, 4)}
+                elif not fmt:
+                    recorded.add(name)
+        assert set(MULTICORE_ONLY) <= recorded, sorted(set(MULTICORE_ONLY) - recorded)
