@@ -2,8 +2,9 @@
 
 Every execution engine of the perception stack — the frame-by-frame
 streaming :class:`~repro.core.pipeline.AcousticPerceptionPipeline`, the
-batched :class:`~repro.core.batch.BlockPipeline`, and the real-time ingest
-runtime of :mod:`repro.stream` — runs the *same* per-hop sequence: classify
+batched :class:`~repro.core.batch.BlockPipeline`, and the live session
+driver :class:`repro.fleet.FleetStream` (hop frames ingested through
+:mod:`repro.stream`) — runs the *same* per-hop sequence: classify
 the reference channel, localize the hops whose detection fired, replay the
 scalar DOA tracker in stream order.  Before this module each engine carried
 its own copy of that sequence and the copies had to be kept bit-identical by

@@ -320,7 +320,6 @@ class FleetScheduler:
         fusion_config: FusionConfig | None = None,
         recordings: Mapping[str, np.ndarray] | None = None,
         ring_capacity: int | None = None,
-        late_tolerance_s: float | None = None,
         tap_window_s: float | None = None,
     ) -> "FleetStream":
         """Open a hop-clocked live :class:`FleetStream` over per-node sources.
@@ -350,7 +349,6 @@ class FleetScheduler:
             fusion_config=fusion_config,
             recordings=recordings,
             ring_capacity=ring_capacity,
-            late_tolerance_s=late_tolerance_s,
             tap_window_s=tap_window_s,
         )
 
@@ -632,6 +630,9 @@ class FleetStream:
        latency;
     4. records the step's wall time against the hop deadline.
 
+    A single array streams the same way, as a one-node corridor: one node,
+    one shard, and its result stream in ``node_results[node_id]``.
+
     Determinism contract: on the same audio (no drops, ample rings) the
     per-node result streams and the fused tracks are identical to the
     offline :meth:`FleetScheduler.run` + :func:`~repro.fleet.fusion.
@@ -680,8 +681,6 @@ class FleetStream:
     ring_capacity:
         Per-node ring size; the default covers the pacer's *maximum* batch
         so a fully widened catch-up step never overwrites unread samples.
-    late_tolerance_s:
-        Chunk lateness tolerated before a chunk counts as late.
     tap_window_s:
         Enables streamed multilateration from rolling per-node sample taps,
         so live sessions get wide-baseline fixes without any pre-rendered
@@ -714,7 +713,6 @@ class FleetStream:
         fusion_config: FusionConfig | None = None,
         recordings: Mapping[str, np.ndarray] | None = None,
         ring_capacity: int | None = None,
-        late_tolerance_s: float | None = None,
         tap_window_s: float | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -792,12 +790,7 @@ class FleetStream:
                 tap = SampleTap(node.array.n_mics, tap_capacity)
                 self.taps[node.node_id] = tap
             self._ingest[node.node_id] = NodeIngest(
-                source,
-                cfg.frame_length,
-                cfg.hop_length,
-                late_tolerance_s=late_tolerance_s,
-                ring=ring,
-                tap=tap,
+                source, cfg.frame_length, cfg.hop_length, ring, tap=tap
             )
         # One runner per shard: the kernel-side state a worker owns.
         self._runners = [

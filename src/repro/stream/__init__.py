@@ -13,8 +13,8 @@ package closes that gap with a hop-clocked runtime over the same shared
   producer interface and the :class:`RecordingChunkSource` replay feed
   (with simulated drops and delivery jitter);
 - :mod:`repro.stream.engine` — :class:`NodeIngest` (source → ring → hop
-  blocks with late/dropped-chunk accounting) and :class:`StreamPipeline`
-  (the single-node real-time driver);
+  blocks with late/dropped-chunk accounting), the ingest layer under every
+  live session;
 - :mod:`repro.stream.pacer` — the adaptive hop-batch governor
   (:class:`Pacer`): overruns widen a shard's batch, headroom shrinks it,
   optional monotonic-clock pacing replays at capture speed; a
@@ -31,9 +31,14 @@ package closes that gap with a hop-clocked runtime over the same shared
   seqlock'd shared-memory reply slots that carry each shard's
   :class:`HopReply` back to the main process with zero pickling.
 
-The fleet session driver built on these pieces,
+The one live session driver built on these pieces,
 :class:`repro.fleet.FleetStream`, lives in :mod:`repro.fleet.scheduler`;
-this package does not import :mod:`repro.fleet`.
+this package does not import :mod:`repro.fleet`.  A single array streams
+as a one-node corridor::
+
+    FleetScheduler([CorridorNode("n0", MicrophoneArray(mics))], cfg).stream(
+        {"n0": source}, hop_batch=4
+    ).run()
 
 **Work stealing and shard migration.**  The pool does not pin shards to
 the worker that registered them: each worker has a deque of hop-step work
@@ -58,7 +63,8 @@ offline     :meth:`repro.fleet.FleetScheduler.run` — whole recordings,
             one ragged batch per shard, optionally on a thread pool
             (``use_threads=True``).
 live        :class:`repro.fleet.FleetStream` (from
-            :meth:`~repro.fleet.FleetScheduler.stream`) — one driver at
+            :meth:`~repro.fleet.FleetScheduler.stream`) — one driver for
+            a corridor or a single array (a one-node corridor), at
             ``workers=0..N``: 0 runs every shard's kernel pass in the
             main process; N forks shard workers fed through
             shared-memory rings, so the per-hop Python cost
@@ -77,7 +83,7 @@ and for every session of a shared-pool city run vs the same corridor
 standalone.
 """
 
-from repro.stream.engine import IngestStats, NodeIngest, StreamPipeline, StreamRunResult
+from repro.stream.engine import IngestStats, NodeIngest
 from repro.stream.ring import RingBuffer, SharedRingBuffer
 from repro.stream.source import Chunk, ChunkSource, RecordingChunkSource
 from repro.stream.budget import (
@@ -112,8 +118,6 @@ __all__ = [
     "StageBudget",
     "StringInterner",
     "WorkerCrashed",
-    "StreamPipeline",
-    "StreamRunResult",
     "format_stage_summary",
     "parallel_supported",
     "mlat_tap_capacity",

@@ -1,14 +1,14 @@
-"""Hop-clocked real-time ingest engine for a single array node.
+"""Chunk ingest for one array node: source → ring → hop frames.
 
-This is the third driver of the shared :class:`~repro.core.hop.HopKernel`
-(after the frame-by-frame streaming tick and the offline block engine): a
-chunk source feeds a fixed-capacity :class:`~repro.stream.ring.RingBuffer`,
-and each engine step pops at most one *hop batch* of completed frames and
-advances the pipeline's detector/localizer/tracker through the kernel.  The
-result stream is numerically equivalent to
-:meth:`~repro.core.batch.process_signal_batched` over the same audio — the
-engine only changes *when* hops are processed, never *how* — while bounding
-memory (O(frame) per node) and per-step latency (one hop batch).
+:class:`NodeIngest` is the delivery side of every live session.  A chunk
+source feeds a fixed-capacity :class:`~repro.stream.ring.RingBuffer`, and
+the session driver — :class:`repro.fleet.FleetStream`, for a corridor of
+arrays or a single array run as a one-node corridor — pops completed hop
+frames out of the ring and runs them through the shared
+:class:`~repro.core.hop.HopKernel`.  Ingest only changes *when* hops reach
+the kernel, never *how*, so the result stream matches
+:meth:`~repro.core.batch.process_signal_batched` over the same audio while
+memory stays O(frame) per node.
 
 Ingest accounting follows the real-time contract of the paper's Sec. II:
 late chunks (delivered after their capture deadline), dropped chunks
@@ -18,20 +18,15 @@ overruns are counted per node and surfaced in :class:`IngestStats`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import AcousticPerceptionPipeline, FrameResult
-from repro.core.realtime import LatencyMonitor, LatencyStats
-from repro.nn.module import Module
 from repro.stream.ring import RingBuffer
 from repro.stream.source import ChunkSource
 from repro.stream.tap import SampleTap
 
-__all__ = ["IngestStats", "NodeIngest", "StreamRunResult", "StreamPipeline"]
+__all__ = ["IngestStats", "NodeIngest"]
 
 
 @dataclass(frozen=True)
@@ -66,19 +61,14 @@ class NodeIngest:
         The node's chunk feed.
     frame_length, hop_length:
         Analysis-frame geometry, samples.
-    capacity:
-        Ring capacity per channel; defaults to twice the working set of one
-        hop batch of 64 hops (ample for lock-step simulation, while still
-        O(frame) — independent of stream length).
+    ring:
+        The ring to ingest into, owned by the session driver: a
+        :class:`~repro.stream.ring.SharedRingBuffer` when shard workers pop
+        the frames out of shared pages, a heap ring in-process.  Its
+        capacity bounds how far delivery may run ahead of the consumer.
     late_tolerance_s:
         Delivery latency above which a chunk counts as late; defaults to
         one hop period at the source rate.
-    ring:
-        An externally owned ring to ingest into instead of allocating one —
-        how :class:`repro.fleet.FleetStream` injects a
-        :class:`~repro.stream.ring.SharedRingBuffer` so the pushed audio
-        lands directly in the shard worker's shared pages.  ``capacity`` is
-        ignored when given.
     tap:
         Optional :class:`~repro.stream.tap.SampleTap` mirroring every
         ingested sample (including drop zero-fill, so absolute indices track
@@ -92,23 +82,19 @@ class NodeIngest:
         source: ChunkSource,
         frame_length: int,
         hop_length: int,
+        ring: RingBuffer,
         *,
-        capacity: int | None = None,
         late_tolerance_s: float | None = None,
-        ring: RingBuffer | None = None,
         tap: SampleTap | None = None,
     ) -> None:
         self.source = source
         self.frame_length = int(frame_length)
         self.hop_length = int(hop_length)
-        if capacity is None:
-            capacity = 2 * (self.frame_length + 64 * self.hop_length)
-        if ring is not None and ring.n_channels != source.n_channels:
+        if ring.n_channels != source.n_channels:
             raise ValueError(
-                f"injected ring has {ring.n_channels} channels, "
-                f"source has {source.n_channels}"
+                f"ring has {ring.n_channels} channels, source has {source.n_channels}"
             )
-        self.ring = ring if ring is not None else RingBuffer(source.n_channels, capacity)
+        self.ring = ring
         if tap is not None and tap.n_channels != source.n_channels:
             raise ValueError(
                 f"tap has {tap.n_channels} channels, source has {source.n_channels}"
@@ -190,174 +176,3 @@ class NodeIngest:
         return self.ring.pop_frames(
             self.frame_length, self.hop_length, max_frames=max_frames
         )
-
-
-@dataclass(frozen=True)
-class StreamRunResult:
-    """Everything one :meth:`StreamPipeline.run` produced.
-
-    Attributes
-    ----------
-    results:
-        The per-hop :class:`FrameResult` stream (equivalent to the batched
-        engine on the same audio).
-    latency:
-        Per-hop attributed processing latency vs the hop deadline;
-        ``latency.realtime`` is the paper's Sec. II criterion.
-    ingest:
-        Delivery-side accounting (late/dropped chunks, ring overruns).
-    n_steps:
-        Engine steps taken (hop batches).
-    """
-
-    results: list[FrameResult]
-    latency: LatencyStats
-    ingest: IngestStats
-    n_steps: int
-
-
-class StreamPipeline:
-    """Real-time ingest driver of one perception pipeline.
-
-    Construct like :class:`~repro.core.batch.BlockPipeline` (positions +
-    config, or wrap an existing :class:`AcousticPerceptionPipeline` to share
-    its components and stream state), attach a chunk source, and call
-    :meth:`step` on the hop clock — or :meth:`run` to drain a simulated
-    source in lock step.
-
-    Parameters
-    ----------
-    hop_batch:
-        Hops processed per engine step.  1 minimizes latency (one kernel
-        step per hop); larger batches amortize the per-step Python cost
-        exactly like the offline chunking does, at ``hop_batch`` hops of
-        extra output delay.
-    """
-
-    def __init__(
-        self,
-        mic_positions: np.ndarray | AcousticPerceptionPipeline,
-        config: PipelineConfig | None = None,
-        *,
-        detector: Module | None = None,
-        localizer=None,
-        hop_batch: int = 8,
-    ) -> None:
-        if hop_batch < 1:
-            raise ValueError("hop_batch must be >= 1")
-        if isinstance(mic_positions, AcousticPerceptionPipeline):
-            if config is not None or detector is not None or localizer is not None:
-                raise ValueError(
-                    "config/detector/localizer are taken from the wrapped pipeline; "
-                    "pass them only with raw mic positions"
-                )
-            self.pipeline = mic_positions
-        else:
-            self.pipeline = AcousticPerceptionPipeline(
-                mic_positions, config, detector=detector, localizer=localizer
-            )
-        self.hop_batch = int(hop_batch)
-        self.ingest: NodeIngest | None = None
-        self.monitor: LatencyMonitor | None = None
-        self._t = 0.0
-
-    # ------------------------------------------------------------------ API
-
-    def attach(
-        self,
-        source: ChunkSource,
-        *,
-        ring_capacity: int | None = None,
-        late_tolerance_s: float | None = None,
-    ) -> None:
-        """Bind a chunk source and reset the engine clock.
-
-        The default ring holds two steps' working set; for sources with
-        delivery jitter, size ``ring_capacity`` to at least
-        ``frame_length + expected_stall_s * fs`` so a burst after a stall
-        does not overflow (overflows drop the oldest samples and are
-        counted, not raised).
-        """
-        cfg = self.pipeline.config
-        if source.n_channels != self.pipeline.positions.shape[0]:
-            raise ValueError(
-                f"source has {source.n_channels} channels, "
-                f"array has {self.pipeline.positions.shape[0]} mics"
-            )
-        if source.fs != cfg.fs:
-            raise ValueError(f"source fs {source.fs} does not match pipeline fs {cfg.fs}")
-        if ring_capacity is None:
-            ring_capacity = 2 * (cfg.frame_length + self.hop_batch * cfg.hop_length)
-        self.ingest = NodeIngest(
-            source,
-            cfg.frame_length,
-            cfg.hop_length,
-            capacity=ring_capacity,
-            late_tolerance_s=late_tolerance_s,
-        )
-        self.monitor = LatencyMonitor(cfg.frame_period_s)
-        self._t = 0.0
-
-    @property
-    def done(self) -> bool:
-        """Whether the source ended and every buffered hop was processed."""
-        return (
-            self.ingest is not None
-            and self.ingest.exhausted
-            and self.ingest.ring.available < self.pipeline.config.frame_length
-        )
-
-    def step(self) -> list[FrameResult]:
-        """Advance the engine clock by one hop batch and process what's due.
-
-        Pulls the chunks *delivered* by the new engine time and runs every
-        completed frame through the shared hop kernel with this pipeline's
-        tracker/refinement state.  In the steady state that is exactly
-        ``hop_batch`` frames; after a delivery stall the whole backlog
-        drains in one step (the engine catches up rather than letting a
-        bounded ring overflow).  Returns the new :class:`FrameResult` rows
-        (possibly empty while the first frame is still filling or a chunk
-        is late).
-        """
-        if self.ingest is None:
-            raise RuntimeError("no source attached")
-        cfg = self.pipeline.config
-        self._t += self.hop_batch * cfg.frame_period_s
-        self.ingest.pull(None if self.ingest.exhausted else self._t)
-        frames = self.ingest.pop_frames()
-        if frames.shape[0] == 0:
-            return []
-        t0 = time.perf_counter()
-        pipeline = self.pipeline
-        out = pipeline.hop_kernel.step(
-            frames,
-            tracker=pipeline.tracker,
-            state=pipeline.refine_state,
-            start_index=pipeline._frame_index,
-        )
-        pipeline._frame_index += frames.shape[0]
-        # Per-hop attributed latency vs the hop deadline (Sec. II).
-        self.monitor.record((time.perf_counter() - t0) / frames.shape[0])
-        return out
-
-    def run(self, source: ChunkSource | None = None) -> StreamRunResult:
-        """Drain a source in lock step; returns results + accounting."""
-        if source is not None:
-            self.attach(source)
-        if self.ingest is None:
-            raise RuntimeError("no source attached")
-        results: list[FrameResult] = []
-        n_steps = 0
-        while not self.done:
-            results.extend(self.step())
-            n_steps += 1
-        return StreamRunResult(
-            results=results,
-            latency=self.monitor.stats(),
-            ingest=self.ingest.stats,
-            n_steps=n_steps,
-        )
-
-    def reset(self) -> None:
-        """Reset the wrapped pipeline's stream state (tracker, counter)."""
-        self.pipeline.reset()

@@ -31,6 +31,15 @@ from dataclasses import dataclass, field, replace
 
 __all__ = ["PacerConfig", "PacerStats", "Pacer", "SharedCapacity"]
 
+# Pool-pressure policy of SharedCapacity: EMA thresholds (backlog per slot)
+# above which the min-batch scale doubles / below which it halves, the
+# consecutive hot (cool) observations required before it moves (debounce,
+# so one skewed tick does not widen the city), and its power-of-two ceiling.
+_WIDEN_PRESSURE = 2.0
+_SHRINK_PRESSURE = 0.75
+_PRESSURE_PATIENCE = 4
+_MAX_MIN_BATCH_SCALE = 8
+
 
 class SharedCapacity:
     """Fair-share accounting for shards contending for one worker pool.
@@ -46,52 +55,26 @@ class SharedCapacity:
     hop batches *earlier* — backpressure reacts to city load before wall
     clocks actually slip, and relaxes as sessions leave.
 
-    Since PR 9 the pool also feeds a **pressure signal** back through the
+    The pool also feeds a **pressure signal** back through the
     capacity: every ``step_send`` reports the pool's hop-item backlog and
     steal rate via :meth:`note_pressure`.  Sustained pressure (an EMA of
-    backlog-per-slot staying above ``widen_pressure`` for ``patience``
-    observations) escalates :meth:`min_batch_scale` — the city-wide
-    ``min_batch`` multiplier every paced session applies — and sustained
-    headroom (EMA below ``shrink_pressure``) walks it back down.  Stealing
-    counts double: a steal means a worker went idle while another was
-    backed up, i.e. the pool is skew-bound, which wider batches amortize.
+    backlog-per-slot above 2.0 for 4 consecutive observations) doubles
+    :meth:`min_batch_scale` — the city-wide ``min_batch`` multiplier every
+    paced session applies — up to 8, and sustained headroom (EMA below
+    0.75 for as long) halves it back down.  Stealing counts double: a
+    steal means a worker went idle while another was backed up, i.e. the
+    pool is skew-bound, which wider batches amortize.
 
     Parameters
     ----------
     slots:
         Concurrent execution slots (the pool's worker count).
-    widen_pressure, shrink_pressure:
-        EMA thresholds (backlog per slot) above which the min-batch scale
-        doubles / below which it halves.
-    patience:
-        Consecutive hot (cool) observations required before scaling up
-        (down) — debounce, so one skewed tick does not widen the city.
-    max_min_batch_scale:
-        Ceiling of :meth:`min_batch_scale` (power-of-two ladder).
     """
 
-    def __init__(
-        self,
-        slots: int,
-        *,
-        widen_pressure: float = 2.0,
-        shrink_pressure: float = 0.75,
-        patience: int = 4,
-        max_min_batch_scale: int = 8,
-    ) -> None:
+    def __init__(self, slots: int) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if shrink_pressure <= 0 or widen_pressure <= shrink_pressure:
-            raise ValueError("need widen_pressure > shrink_pressure > 0")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        if max_min_batch_scale < 1:
-            raise ValueError("max_min_batch_scale must be >= 1")
         self.slots = int(slots)
-        self.widen_pressure = float(widen_pressure)
-        self.shrink_pressure = float(shrink_pressure)
-        self.patience = int(patience)
-        self.max_min_batch_scale = int(max_min_batch_scale)
         self._held = 0
         self._pressure = 0.0
         self._scale = 1
@@ -129,17 +112,17 @@ class SharedCapacity:
             raise ValueError("backlog and steals must be >= 0")
         inst = (backlog + 2.0 * steals) / self.slots
         self._pressure += 0.25 * (inst - self._pressure)
-        if self._pressure > self.widen_pressure:
+        if self._pressure > _WIDEN_PRESSURE:
             self._hot += 1
             self._cool = 0
-            if self._hot >= self.patience and self._scale < self.max_min_batch_scale:
+            if self._hot >= _PRESSURE_PATIENCE and self._scale < _MAX_MIN_BATCH_SCALE:
                 self._scale *= 2
                 self._hot = 0
                 self.n_pressure_widenings += 1
-        elif self._pressure < self.shrink_pressure:
+        elif self._pressure < _SHRINK_PRESSURE:
             self._cool += 1
             self._hot = 0
-            if self._cool >= self.patience and self._scale > 1:
+            if self._cool >= _PRESSURE_PATIENCE and self._scale > 1:
                 self._scale //= 2
                 self._cool = 0
                 self.n_pressure_shrinks += 1
@@ -153,7 +136,7 @@ class SharedCapacity:
 
     def min_batch_scale(self) -> int:
         """City-wide ``min_batch`` multiplier under sustained pool pressure
-        (1 = no pressure; doubles up to ``max_min_batch_scale``)."""
+        (1 = no pressure; doubles up to 8)."""
         return self._scale
 
 

@@ -259,12 +259,6 @@ class TestSaturationCountsIncoming:
 
 class TestCapacityPressure:
     def test_validation(self):
-        with pytest.raises(ValueError, match="widen_pressure"):
-            SharedCapacity(1, widen_pressure=0.5, shrink_pressure=0.75)
-        with pytest.raises(ValueError, match="patience"):
-            SharedCapacity(1, patience=0)
-        with pytest.raises(ValueError, match="max_min_batch_scale"):
-            SharedCapacity(1, max_min_batch_scale=0)
         cap = SharedCapacity(1)
         with pytest.raises(ValueError):
             cap.note_pressure(-1)
@@ -286,7 +280,7 @@ class TestCapacityPressure:
         assert steals_only.pressure() == pytest.approx(backlog_only.pressure())
 
     def test_patience_debounces_the_scale(self):
-        cap = SharedCapacity(1, patience=4)
+        cap = SharedCapacity(1)  # patience 4
         for _ in range(3):
             cap.note_pressure(100)
         assert cap.min_batch_scale() == 1  # three hot ticks: not yet
@@ -294,36 +288,46 @@ class TestCapacityPressure:
         assert cap.min_batch_scale() == 2  # the fourth commits
 
     def test_a_calm_tick_resets_the_hot_streak(self):
-        cap = SharedCapacity(1, patience=3)
-        # hot, calm, hot, hot, calm: never `patience` hot ticks in a row.
-        for backlog in (9, 0, 9, 0, 0):
+        cap = SharedCapacity(1)  # patience 4
+        # The EMA runs hot from the 4th tick of backlog 3; each 0 pulls it
+        # back into the neutral band, so two hot streaks of 3 never commit.
+        for backlog in (3,) * 6 + (0,) + (3,) * 3 + (0,):
             cap.note_pressure(backlog)
         assert cap.min_batch_scale() == 1
         assert cap.n_pressure_widenings == 0
 
+    def test_an_unbroken_hot_streak_commits(self):
+        """Control for the calm-tick reset: the same backlog without the
+        neutral tick reaches four hot ticks in a row and widens."""
+        cap = SharedCapacity(1)
+        for backlog in (3,) * 7:
+            cap.note_pressure(backlog)
+        assert cap.min_batch_scale() == 2
+        assert cap.n_pressure_widenings == 1
+
     def test_scale_ladder_rises_capped_and_walks_back_down(self):
-        cap = SharedCapacity(1, patience=2, max_min_batch_scale=4)
-        for _ in range(10):
-            cap.note_pressure(100)
-        assert cap.min_batch_scale() == 4  # 1 -> 2 -> 4, then capped
-        assert cap.n_pressure_widenings == 2
+        cap = SharedCapacity(1)
         for _ in range(40):
+            cap.note_pressure(100)
+        assert cap.min_batch_scale() == 8  # 1 -> 2 -> 4 -> 8, then capped
+        assert cap.n_pressure_widenings == 3
+        for _ in range(60):
             cap.note_pressure(0)
         assert cap.min_batch_scale() == 1
-        assert cap.n_pressure_shrinks == 2
+        assert cap.n_pressure_shrinks == 3
 
     def test_pacer_min_batch_floor_rises_and_relaxes(self):
         """Sustained pool pressure raises every paced shard's batch to the
         scaled floor; shrink clamps there until the pool cools."""
-        cap = SharedCapacity(1, patience=1)
+        cap = SharedCapacity(1)
         pacer = Pacer(
             0.01,
             hop_batch=1,
             config=PacerConfig(min_batch=1, max_batch=64),
             capacity=cap,
         )
-        cap.note_pressure(100)  # scale 2
-        cap.note_pressure(100)  # scale 4
+        for _ in range(8):
+            cap.note_pressure(100)  # scale 2 at the 4th tick, 4 at the 8th
         assert cap.min_batch_scale() == 4
         pacer.observe(0.006, 1)  # inside budget, no headroom: floor only
         assert pacer.batch == 4
@@ -338,8 +342,8 @@ class TestCapacityPressure:
         assert pacer.stats().n_floor_raises == 1
 
     def test_floor_never_exceeds_max_batch(self):
-        cap = SharedCapacity(1, patience=1, max_min_batch_scale=8)
-        for _ in range(3):
+        cap = SharedCapacity(1)
+        for _ in range(40):
             cap.note_pressure(100)
         assert cap.min_batch_scale() == 8
         pacer = Pacer(

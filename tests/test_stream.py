@@ -2,9 +2,10 @@
 
 Ring-buffer semantics (wraparound, overflow drops, O(frame) memory), the
 chunk-source replay feed (sequence gaps, jitter), ingest accounting, and the
-single-node :class:`StreamPipeline` contract: the hop-clocked engine yields
-the exact :class:`FrameResult` stream of the offline batched engine on the
-same audio, under any chunking.
+single-array live contract: one array streamed as a one-node corridor
+through :class:`repro.fleet.FleetStream` yields the exact
+:class:`FrameResult` stream of the offline batched engine on the same
+audio, under any chunking, hop batch or delivery jitter.
 """
 
 import numpy as np
@@ -12,19 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acoustics.environment import MicrophoneArray
 from repro.core import AcousticPerceptionPipeline, PipelineConfig, process_signal_batched
 from repro.dsp.stft import frame_signals
+from repro.fleet import CorridorNode, FleetScheduler
 from repro.stream import (
     Chunk,
     NodeIngest,
     RecordingChunkSource,
     RingBuffer,
-    StreamPipeline,
 )
 
 MICS = np.array(
     [[0.1, 0.1, 1.0], [0.1, -0.1, 1.0], [-0.1, -0.1, 1.0], [-0.1, 0.1, 1.0]]
 )
+
+# Ring size for the 512/256 ingest tests: twice the working set of one
+# 64-hop batch.
+INGEST_RING = 2 * (512 + 64 * 256)
 
 
 def assert_results_equal(streamed, batched):
@@ -155,7 +161,7 @@ class TestRecordingChunkSource:
             x, fs, chunk_samples=256, drop_prob=0.2, jitter_s=0.3,
             rng=np.random.default_rng(13),
         )
-        ingest = NodeIngest(src, 512, 256, late_tolerance_s=0.05)
+        ingest = NodeIngest(src, 512, 256, RingBuffer(2, INGEST_RING), late_tolerance_s=0.05)
         ingest.pull(None)
         s = ingest.stats
         assert s.n_dropped_chunks > 0
@@ -186,6 +192,11 @@ class TestRecordingChunkSource:
         src.reset()
         assert drain() == first
 
+    def test_chunk_is_frozen_record(self):
+        c = Chunk(data=np.zeros((1, 4)), seq=0, t=0.0, arrival_s=0.0)
+        with pytest.raises(AttributeError):
+            c.seq = 1
+
 
 class TestNodeIngest:
     def test_gap_zero_fill_keeps_hop_grid(self):
@@ -200,7 +211,9 @@ class TestNodeIngest:
                     return super().next_chunk()
                 return c
 
-        ingest = NodeIngest(GappySource(x, fs, chunk_samples=256), 512, 256)
+        ingest = NodeIngest(
+            GappySource(x, fs, chunk_samples=256), 512, 256, RingBuffer(2, INGEST_RING)
+        )
         ingest.pull(None)
         frames = ingest.pop_frames(None)
         assert ingest.stats.n_dropped_chunks == 1
@@ -216,14 +229,14 @@ class TestNodeIngest:
         src = RecordingChunkSource(
             x, 8000.0, chunk_samples=256, jitter_s=1.0, rng=np.random.default_rng(6)
         )
-        ingest = NodeIngest(src, 512, 256, late_tolerance_s=0.01)
+        ingest = NodeIngest(src, 512, 256, RingBuffer(1, INGEST_RING), late_tolerance_s=0.01)
         ingest.pull(None)
         assert ingest.stats.n_late_chunks > 0
 
     def test_time_gated_pull(self):
         x = np.zeros((1, 2560))
         src = RecordingChunkSource(x, 8000.0, chunk_samples=256)
-        ingest = NodeIngest(src, 512, 256)
+        ingest = NodeIngest(src, 512, 256, RingBuffer(1, INGEST_RING))
         assert ingest.pull(512 / 8000.0) == 2  # only the chunks captured by t
         assert ingest.ring.available == 512
         assert ingest.pull(None) == 8
@@ -241,26 +254,37 @@ class TestNodeIngest:
                     return None
                 return Chunk(data=c.data, seq=c.seq, t=c.t, arrival_s=c.t + 0.5)
 
-        ingest = NodeIngest(DelayedSource(x, 8000.0, chunk_samples=256), 512, 256)
+        ingest = NodeIngest(
+            DelayedSource(x, 8000.0, chunk_samples=256), 512, 256, RingBuffer(1, INGEST_RING)
+        )
         assert ingest.pull(256 / 8000.0) == 0  # captured, but not yet delivered
         assert ingest.pull(0.5 + 256 / 8000.0) == 1  # arrives half a second later
 
 
-class TestStreamPipeline:
+class TestOneNodeStream:
+    """A single array is a one-node corridor: the live session driver
+    streams it through the same ingest, ring and hop kernel."""
+
     def config(self):
         return PipelineConfig(n_azimuth=24, n_elevation=2)
+
+    def scheduler(self, cfg, detector=None):
+        return FleetScheduler(
+            [CorridorNode("n0", MicrophoneArray(MICS))], cfg, detector=detector
+        )
 
     def test_matches_batched_engine(self):
         cfg = self.config()
         sig = np.random.default_rng(7).standard_normal((4, 12000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=4)
-        sp.pipeline.detector = ref.detector  # same untrained weights
-        res = sp.run(RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length))
-        assert_results_equal(res.results, expected)
-        assert res.ingest.n_dropped_chunks == 0
-        assert res.latency.deadline_s == pytest.approx(cfg.frame_period_s)
+        source = RecordingChunkSource(sig, cfg.fs, chunk_samples=cfg.hop_length)
+        # Same untrained detector weights as the reference.
+        fleet = self.scheduler(cfg, detector=ref.detector)
+        res = fleet.stream({"n0": source}, hop_batch=4).run()
+        assert_results_equal(res.node_results["n0"], expected)
+        assert res.ingest["n0"].n_dropped_chunks == 0
+        assert res.node_stats["n0"].latency.deadline_s == pytest.approx(cfg.frame_period_s)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -275,10 +299,10 @@ class TestStreamPipeline:
         sig = np.random.default_rng(99).standard_normal((4, 6000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=hop_batch)
-        sp.pipeline.detector = ref.detector
-        res = sp.run(RecordingChunkSource(sig, cfg.fs, chunk_samples=chunk_samples))
-        assert_results_equal(res.results, expected)
+        source = RecordingChunkSource(sig, cfg.fs, chunk_samples=chunk_samples)
+        fleet = self.scheduler(cfg, detector=ref.detector)
+        res = fleet.stream({"n0": source}, hop_batch=hop_batch).run()
+        assert_results_equal(res.node_results["n0"], expected)
 
     def test_jitter_delays_but_never_changes_results(self):
         """Delivery jitter stalls frames to later steps; once everything
@@ -287,30 +311,29 @@ class TestStreamPipeline:
         sig = np.random.default_rng(21).standard_normal((4, 6000))
         ref = AcousticPerceptionPipeline(MICS, cfg)
         expected = process_signal_batched(ref, sig)
-        sp = StreamPipeline(MICS, cfg, hop_batch=4)
-        sp.pipeline.detector = ref.detector
         source = RecordingChunkSource(
             sig, cfg.fs, chunk_samples=cfg.hop_length,
             jitter_s=0.3, rng=np.random.default_rng(8),
         )
+        fleet = self.scheduler(cfg, detector=ref.detector)
         # Ring sized for the worst-case delivery stall (0.3 s of audio).
-        sp.attach(source, ring_capacity=cfg.frame_length + 2 * int(0.3 * cfg.fs))
-        res = sp.run()
-        assert_results_equal(res.results, expected)
-        assert res.ingest.n_late_chunks > 0  # the jitter really was felt
-        assert res.ingest.dropped_samples == 0
+        res = fleet.stream(
+            {"n0": source},
+            hop_batch=4,
+            ring_capacity=cfg.frame_length + 2 * int(0.3 * cfg.fs),
+        ).run()
+        assert_results_equal(res.node_results["n0"], expected)
+        assert res.ingest["n0"].n_late_chunks > 0  # the jitter really was felt
+        assert res.ingest["n0"].dropped_samples == 0
 
-    def test_attach_validation(self):
+    def test_source_validation(self):
         cfg = self.config()
-        sp = StreamPipeline(MICS, cfg)
+        fleet = self.scheduler(cfg)
         with pytest.raises(ValueError, match="channels"):
-            sp.attach(RecordingChunkSource(np.zeros((2, 1000)), cfg.fs, chunk_samples=256))
+            fleet.stream(
+                {"n0": RecordingChunkSource(np.zeros((2, 1000)), cfg.fs, chunk_samples=256)}
+            )
         with pytest.raises(ValueError, match="fs"):
-            sp.attach(RecordingChunkSource(np.zeros((4, 1000)), 8000.0, chunk_samples=256))
-        with pytest.raises(RuntimeError, match="no source"):
-            sp.step()
-
-    def test_chunk_is_frozen_record(self):
-        c = Chunk(data=np.zeros((1, 4)), seq=0, t=0.0, arrival_s=0.0)
-        with pytest.raises(AttributeError):
-            c.seq = 1
+            fleet.stream(
+                {"n0": RecordingChunkSource(np.zeros((4, 1000)), 8000.0, chunk_samples=256)}
+            )

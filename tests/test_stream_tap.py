@@ -18,7 +18,7 @@ from repro.fleet import (
     synthesize_corridor,
 )
 from repro.signals import synthesize_siren
-from repro.stream import NodeIngest, RecordingChunkSource, SampleTap, mlat_tap_capacity
+from repro.stream import NodeIngest, RecordingChunkSource, RingBuffer, SampleTap, mlat_tap_capacity
 
 FS = 8000.0
 
@@ -132,7 +132,13 @@ class TestIngestTapMirroring:
                 return c
 
         tap = SampleTap(2, 4096)
-        ingest = NodeIngest(GappySource(x, FS, chunk_samples=256), 512, 256, tap=tap)
+        ingest = NodeIngest(
+            GappySource(x, FS, chunk_samples=256),
+            512,
+            256,
+            RingBuffer(2, 2 * (512 + 64 * 256)),
+            tap=tap,
+        )
         ingest.pull(None)
         assert tap.n_written == 4096
         expected = x.copy()
@@ -142,7 +148,9 @@ class TestIngestTapMirroring:
     def test_channel_mismatch_raises(self):
         src = RecordingChunkSource(np.zeros((2, 1024)), FS, chunk_samples=256)
         with pytest.raises(ValueError, match="channels"):
-            NodeIngest(src, 512, 256, tap=SampleTap(3, 1024))
+            NodeIngest(
+                src, 512, 256, RingBuffer(2, 2 * (512 + 64 * 256)), tap=SampleTap(3, 1024)
+            )
 
 
 def corridor_scene(seed, n_nodes=3, duration_s=2.0):
